@@ -46,11 +46,13 @@ bench:
 
 # Tiny-scale single-iteration pass so benchmarks can't rot (used by CI).
 # Includes the allocation-regression benchmarks of the decode hot paths
-# (uda Decode vs DecodeInto, pdrtree cached vs uncached node load).
+# (uda Decode vs DecodeInto, pdrtree cached vs uncached node load) and the
+# inverted index's list join with its allocs-per-query ceiling.
 bench-smoke:
 	UCAT_BENCH_SCALE=0.02 $(GO) test -bench=. -benchtime=1x -short .
 	$(GO) test -run - -bench 'BenchmarkDecode' -benchmem -benchtime=1000x ./internal/uda/
 	$(GO) test -run - -bench 'BenchmarkReadNode' -benchmem -benchtime=100x ./internal/pdrtree/
+	$(GO) test -run TestBruteForceAllocCeiling -bench 'BenchmarkBruteForce' -benchmem -benchtime=100x -count=1 ./internal/invidx/
 	$(GO) test -race -run TestSharedPoolContentionDeterminism -count=1 ./internal/server/
 
 # Sequential vs parallel wall-clock trajectory for full figure regeneration.

@@ -1,7 +1,9 @@
 package invidx
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ucat/internal/btree"
 	"ucat/internal/query"
@@ -31,24 +33,48 @@ func (ix *Index) MultiPETQ(qs []uda.UDA, taus []float64) ([][]query.Match, error
 		}
 	}
 
-	// Invert the batch: item → (query index, query probability) pairs.
+	// Invert the batch: (item, query index, query probability) triples in
+	// ascending item order, each item's run in query order. Ascending items
+	// is the order Reader.PETQ joins one query's lists in, so every score
+	// here is the float sum the per-query brute-force search computes.
 	type interest struct {
-		qi int
-		qp float64
+		item uint32
+		qi   int
+		qp   float64
 	}
-	byItem := make(map[uint32][]interest)
-	for qi, q := range qs {
-		for _, p := range q.Pairs() {
-			byItem[p.Item] = append(byItem[p.Item], interest{qi: qi, qp: p.Prob})
+	total := 0
+	for _, q := range qs {
+		total += q.Len()
+	}
+	interests := make([]interest, 0, total)
+	tables := make([]*scoreTable, len(qs))
+	defer func() {
+		for _, t := range tables {
+			t.release()
 		}
+	}()
+	for qi, q := range qs {
+		pairs := q.Pairs()
+		for _, p := range pairs {
+			interests = append(interests, interest{item: p.Item, qi: qi, qp: p.Prob})
+		}
+		tables[qi] = acquireScoreTable(ix.distinctBound(pairs))
 	}
+	slices.SortFunc(interests, func(a, b interest) int {
+		if c := cmp.Compare(a.item, b.item); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.qi, b.qi)
+	})
 
-	scores := make([]map[uint32]float64, len(qs))
-	for i := range scores {
-		//ucatlint:ignore hotalloc one accumulator map per query is the batch algorithm's working set; result size is unknown up front
-		scores[i] = make(map[uint32]float64)
-	}
-	for item, interested := range byItem {
+	for len(interests) > 0 {
+		item := interests[0].item
+		n := 1
+		for n < len(interests) && interests[n].item == item {
+			n++
+		}
+		interested := interests[:n]
+		interests = interests[n:]
 		tree, ok := ix.dir[item]
 		if !ok {
 			continue
@@ -57,7 +83,7 @@ func (ix *Index) MultiPETQ(qs []uda.UDA, taus []float64) ([][]query.Match, error
 		err := tree.Scan(btree.Key{}, func(k btree.Key) bool {
 			prob, tid := unpackKey(k)
 			for _, in := range interested {
-				scores[in.qi][tid] += in.qp * prob
+				tables[in.qi].add(tid, in.qp*prob)
 			}
 			return true
 		})
@@ -67,15 +93,9 @@ func (ix *Index) MultiPETQ(qs []uda.UDA, taus []float64) ([][]query.Match, error
 	}
 
 	out := make([][]query.Match, len(qs))
-	for qi := range qs {
-		var res []query.Match
-		for tid, sc := range scores[qi] {
-			if sc > taus[qi] {
-				res = append(res, query.Match{TID: tid, Prob: sc})
-			}
-		}
-		query.SortMatches(res)
-		out[qi] = res
+	for qi, t := range tables {
+		out[qi] = t.matches(taus[qi])
+		query.SortMatches(out[qi])
 	}
 	return out, nil
 }

@@ -11,13 +11,13 @@ import (
 	"ucat/internal/uda"
 )
 
-func newTestIndex(t *testing.T, frames int) *Index {
+func newTestIndex(t testing.TB, frames int) *Index {
 	t.Helper()
 	return New(pager.NewPool(pager.NewStore(), frames))
 }
 
 // buildRandom populates the index with n random tuples and returns them.
-func buildRandom(t *testing.T, ix *Index, n, domain, maxPairs int, seed int64) map[uint32]uda.UDA {
+func buildRandom(t testing.TB, ix *Index, n, domain, maxPairs int, seed int64) map[uint32]uda.UDA {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	data := make(map[uint32]uda.UDA, n)

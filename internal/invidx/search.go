@@ -96,7 +96,7 @@ func (r *Reader) PETQ(q uda.UDA, tau float64, s Strategy) ([]query.Match, error)
 	var err error
 	switch s {
 	case BruteForce:
-		res, err = r.bruteForce(q, tau)
+		res, err = r.bruteForce(q.Pairs(), tau)
 	case HighestProbFirst:
 		res, err = r.highestProbFirst(q, tau)
 	case RowPruning:
@@ -134,7 +134,7 @@ func (r *Reader) TopK(q uda.UDA, k int, s Strategy) ([]query.Match, error) {
 	sp.AttrF("k", float64(k))
 	switch s {
 	case BruteForce:
-		return r.bruteForceTopK(q, k)
+		return r.bruteForceTopK(q.Pairs(), k)
 	case HighestProbFirst:
 		return r.frontierTopK(q, k, true)
 	case ColumnPruning:
@@ -223,61 +223,71 @@ func (r *Reader) openCursors(q uda.UDA) ([]*listCursor, error) {
 	return cs, nil
 }
 
-// bruteForce joins the full lists of all query items. The per-tuple
-// accumulated score Σ_j q_j · t_j over exactly the query's items *is* the
-// equality probability, so no random accesses are needed.
-func (r *Reader) bruteForce(q uda.UDA, tau float64) ([]query.Match, error) {
-	scores, err := r.accumulate(q, nil)
+// bruteForce joins the full lists of all the (item, weight) pairs. For a
+// query's own pairs the per-tuple accumulated score Σ_j q_j · t_j *is* the
+// equality probability, so no random accesses are needed; the window
+// queries pass the smeared query instead (window.go). Matches come back
+// unsorted.
+func (r *Reader) bruteForce(pairs []uda.Pair, tau float64) ([]query.Match, error) {
+	t, err := r.accumulate(pairs)
 	if err != nil {
 		return nil, err
 	}
-	var res []query.Match
-	for tid, sc := range scores {
-		if sc > tau {
-			res = append(res, query.Match{TID: tid, Prob: sc})
-		}
-	}
-	return res, nil
+	defer t.release()
+	return t.matches(tau), nil
 }
 
-func (r *Reader) bruteForceTopK(q uda.UDA, k int) ([]query.Match, error) {
-	scores, err := r.accumulate(q, nil)
+func (r *Reader) bruteForceTopK(pairs []uda.Pair, k int) ([]query.Match, error) {
+	t, err := r.accumulate(pairs)
 	if err != nil {
 		return nil, err
 	}
-	tk := query.NewTopK(k)
-	for tid, sc := range scores {
-		tk.Offer(query.Match{TID: tid, Prob: sc})
-	}
-	return tk.Results(), nil
+	defer t.release()
+	return t.topK(k), nil
 }
 
-// accumulate scans the full list of every query item (or only those for
-// which keep returns true) and sums q_j · t_j per tuple.
-func (r *Reader) accumulate(q uda.UDA, keep func(qp float64) bool) (map[uint32]float64, error) {
-	scores := make(map[uint32]float64)
-	for _, p := range q.Pairs() {
-		if keep != nil && !keep(p.Prob) {
-			continue
-		}
+// accumulate scans the full list of every (item, weight) pair and sums
+// weight · t_item per tuple into a pooled score table, which the caller
+// releases; on error the table is already released. Lists are joined in the
+// order given and each list in its own order, so every tuple's score is the
+// same float sum run after run.
+func (r *Reader) accumulate(pairs []uda.Pair) (*scoreTable, error) {
+	t := acquireScoreTable(r.ix.distinctBound(pairs))
+	for _, p := range pairs {
 		tree, ok := r.ix.dir[p.Item]
 		if !ok {
 			continue
 		}
 		r.rec.Add("inv.lists", 1)
-		qp := p.Prob
+		weight := p.Prob
+		var entries int64
 		//ucatlint:ignore hotalloc one callback per posting list (not per entry); captured accumulator state is the point
 		err := tree.ScanVia(r.view, btree.Key{}, func(k btree.Key) bool {
-			r.rec.Add("inv.entries", 1)
+			entries++
 			prob, tid := unpackKey(k)
-			scores[tid] += qp * prob
+			t.add(tid, weight*prob)
 			return true
 		})
+		r.rec.Add("inv.entries", entries)
 		if err != nil {
+			t.release()
 			return nil, err
 		}
 	}
-	return scores, nil
+	return t, nil
+}
+
+// distinctBound bounds the number of distinct tuples joining the lists of
+// pairs can produce: no more than the lists hold entries, and no more than
+// the index holds tuples.
+func (ix *Index) distinctBound(pairs []uda.Pair) int {
+	entries := 0
+	for _, p := range pairs {
+		if tree, ok := ix.dir[p.Item]; ok {
+			entries += tree.Len()
+		}
+	}
+	return min(entries, ix.Len())
 }
 
 // highestProbFirst implements the paper's Highest-prob-first search: advance
@@ -349,25 +359,23 @@ func (r *Reader) verify(q uda.UDA, tid uint32, tau float64) (query.Match, bool, 
 // When at least one list was skipped, the accumulated scores are only lower
 // bounds and every candidate is verified by random access.
 func (r *Reader) rowPruning(q uda.UDA, tau float64) ([]query.Match, error) {
-	pruned := false
-	scores, err := r.accumulate(q, func(qp float64) bool {
-		if qp > tau {
-			return true
+	pairs := q.Pairs()
+	kept := pairs[:0]
+	for _, p := range pairs {
+		if p.Prob > tau {
+			kept = append(kept, p)
 		}
-		pruned = true
-		return false
-	})
+	}
+	t, err := r.accumulate(kept)
 	if err != nil {
 		return nil, err
 	}
+	defer t.release()
+	if len(kept) == len(pairs) {
+		return t.matches(tau), nil
+	}
 	var res []query.Match
-	for tid, sc := range scores {
-		if !pruned {
-			if sc > tau {
-				res = append(res, query.Match{TID: tid, Prob: sc})
-			}
-			continue
-		}
+	for _, tid := range t.tids {
 		m, qualifies, err := r.verify(q, tid, tau)
 		if err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package invidx
 import (
 	"fmt"
 
-	"ucat/internal/btree"
 	"ucat/internal/query"
 	"ucat/internal/uda"
 )
@@ -18,29 +17,9 @@ func (r *Reader) WindowPETQ(q uda.UDA, c uint32, tau float64) ([]query.Match, er
 	if tau < 0 {
 		return nil, fmt.Errorf("invidx: negative threshold %g", tau)
 	}
-	w := uda.Smear(q, c)
-	scores := make(map[uint32]float64)
-	for _, p := range w {
-		tree, ok := r.ix.dir[p.Item]
-		if !ok {
-			continue
-		}
-		weight := p.Prob
-		//ucatlint:ignore hotalloc one callback per posting list (not per entry); captured accumulator state is the point
-		err := tree.ScanVia(r.view, btree.Key{}, func(k btree.Key) bool {
-			prob, tid := unpackKey(k)
-			scores[tid] += weight * prob
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var res []query.Match
-	for tid, sc := range scores {
-		if sc > tau {
-			res = append(res, query.Match{TID: tid, Prob: sc})
-		}
+	res, err := r.bruteForce(uda.Smear(q, c), tau)
+	if err != nil {
+		return nil, err
 	}
 	query.SortMatches(res)
 	return res, nil
@@ -52,13 +31,5 @@ func (r *Reader) WindowTopK(q uda.UDA, c uint32, k int) ([]query.Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("invidx: non-positive k %d", k)
 	}
-	all, err := r.WindowPETQ(q, c, 0)
-	if err != nil {
-		return nil, err
-	}
-	tk := query.NewTopK(k)
-	for _, m := range all {
-		tk.Offer(m)
-	}
-	return tk.Results(), nil
+	return r.bruteForceTopK(uda.Smear(q, c), k)
 }

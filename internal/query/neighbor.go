@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // Neighbor is one answer of a distributional similarity query: a tuple id
@@ -14,11 +15,14 @@ type Neighbor struct {
 
 // SortNeighbors orders by ascending distance, ties by ascending tuple id.
 func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist { //ucatlint:ignore floatcmp exact tie-break for a deterministic sort order
-			return ns[i].Dist < ns[j].Dist
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
 		}
-		return ns[i].TID < ns[j].TID
+		return cmp.Compare(a.TID, b.TID)
 	})
 }
 

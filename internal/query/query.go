@@ -8,8 +8,9 @@
 package query
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // Match is one query answer: a tuple id and its equality probability with
@@ -22,11 +23,14 @@ type Match struct {
 // SortMatches orders matches by descending probability, breaking ties by
 // ascending tuple id, the canonical result order.
 func SortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Prob != ms[j].Prob { //ucatlint:ignore floatcmp exact tie-break for a deterministic sort order
-			return ms[i].Prob > ms[j].Prob
+	slices.SortFunc(ms, func(a, b Match) int {
+		switch {
+		case a.Prob > b.Prob:
+			return -1
+		case a.Prob < b.Prob:
+			return 1
 		}
-		return ms[i].TID < ms[j].TID
+		return cmp.Compare(a.TID, b.TID)
 	})
 }
 
