@@ -57,11 +57,6 @@ func TestSharedPoolPinSafetyUnderContention(t *testing.T) {
 							pid = pids[rng.Intn(numPages)]
 						}
 						pg, err := sess.Fetch(pid)
-						if errors.Is(err, ErrPoolExhausted) {
-							// 8 readers × 2 pins outnumber the 12 frames, so
-							// the first pin may be refused as well.
-							continue
-						}
 						if err != nil {
 							errCh <- err
 							return
