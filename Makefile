@@ -3,7 +3,7 @@ GO ?= go
 # Fuzzing time per target; CI's smoke job overrides with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build lint lint-full test test-short race race-full cover bench bench-smoke bench-parallel bench-cache bench-cache-smoke bench-pool bench-pool-smoke obs-smoke serve-smoke flight-smoke wire-smoke ingest-smoke bench-serve bench-ingest metrics figures ablations fuzz clean
+.PHONY: all build lint lint-full test test-short race race-full cover bench bench-smoke obs-smoke serve-smoke flight-smoke wire-smoke ingest-smoke metrics figures ablations fuzz clean
 
 all: build lint test
 
@@ -55,31 +55,6 @@ bench-smoke:
 	$(GO) test -run TestBruteForceAllocCeiling -bench 'BenchmarkBruteForce' -benchmem -benchtime=100x -count=1 ./internal/invidx/
 	$(GO) test -race -run TestSharedPoolContentionDeterminism -count=1 ./internal/server/
 
-# Sequential vs parallel wall-clock trajectory for full figure regeneration.
-bench-parallel:
-	$(GO) run ./cmd/ucatbench -scale 1 -queries 20 -workers 0 -benchparallel BENCH_parallel.json
-
-# Decoded-page cache A/B on the fig4 PETQ workload (CRM1, both indexes):
-# ns/q, allocs/q, cache hit rate, sequential vs parallel, plus the
-# cache-on/off I/O determinism cross-check. Writes BENCH_cache.json.
-bench-cache:
-	$(GO) run ./cmd/ucatbench -scale 1 -queries 20 -workers 0 -benchcache BENCH_cache.json
-
-# Tiny-scale bench-cache so the harness can't rot (used by CI).
-bench-cache-smoke:
-	$(GO) run ./cmd/ucatbench -scale 0.02 -queries 4 -workers 2 -benchcache /tmp/bench_cache_smoke.json
-
-# Shared serving-pool sweep: eviction policy (clock/lru/gdsf) x stripes x
-# total frames on a zipf-ish PETQ mix, against per-worker private pools at
-# equal total memory, with the answers-identical cross-check. Writes
-# BENCH_pool.json; on a single-CPU host read the hit rates, not wall-clock.
-bench-pool:
-	$(GO) run ./cmd/ucatbench -scale 0.5 -queries 16 -workers 4 -benchpool BENCH_pool.json
-
-# Tiny-scale bench-pool so the harness can't rot (used by CI).
-bench-pool-smoke:
-	$(GO) run ./cmd/ucatbench -scale 0.02 -queries 4 -workers 2 -benchpool /tmp/bench_pool_smoke.json
-
 # Execute the README serving quickstart verbatim: the command block between
 # the serve-quickstart markers in README.md is extracted and run
 # (ucatgen -save → ucatd → curl → graceful drain), so the documented
@@ -89,9 +64,9 @@ serve-smoke:
 
 # End-to-end smoke of the binary wire protocol: boots ucatd with batching
 # on, sweeps every query kind over both protocols asserting identical
-# answers and zero protocol errors, checks the per-protocol /metrics
-# counters moved, then re-runs the pinned encode-path allocation test
-# (used by CI).
+# answers and zero protocol errors (ucatload's exit status), checks the
+# per-protocol /metrics counters moved, then re-runs the pinned encode-path
+# allocation test (used by CI).
 wire-smoke:
 	bash scripts/wire_smoke.sh
 	$(GO) test -run TestWireEncodePathAllocs -count=1 -v ./internal/server/
@@ -103,23 +78,6 @@ wire-smoke:
 # (used by CI; DURABILITY.md is the spec this exercises from the outside).
 ingest-smoke:
 	bash scripts/ingest_smoke.sh
-
-# Write-path benchmark: sustained durable ingest throughput under concurrent
-# query traffic, swept across group-commit windows (one fresh -wal boot
-# each), with the mid-ingest determinism check. Writes BENCH_ingest.json;
-# tunables: UCAT_INGEST_{N,DUR,WRITERS,BATCH,CLIENTS,WINDOWS,OUT}.
-bench-ingest:
-	bash scripts/bench_ingest.sh
-
-# Serving-layer benchmark: closed-loop and open-loop sweeps through a live
-# ucatd, per protocol (JSON vs binary ucatwire) and per batcher setting
-# (mixed petq/topk/window sweeps against batching-on AND batching-off
-# servers), plus the three-way direct/JSON/binary determinism check. Writes
-# BENCH_serve.json; OPERATIONS.md explains how to read it. Tunables:
-# UCAT_SERVE_{N,DUR,CLIENTS,RATES,TAU,HOTSET,OUT}; CI runs a tiny-scale
-# variant.
-bench-serve:
-	bash scripts/bench_serve.sh
 
 # Zero-overhead contract for tracing (DESIGN.md §14): with no recorder
 # attached, the full per-query span pattern must allocate nothing, and with

@@ -8,8 +8,6 @@
 //	ucatbench -ablations           # the ablation suite
 //	ucatbench -scale 0.1 -queries 10 -seed 42
 //	ucatbench -workers 4           # per-point queries on 4 goroutines
-//	ucatbench -benchparallel BENCH_parallel.json
-//	ucatbench -benchpool BENCH_pool.json
 //
 // Full scale builds 100k-tuple CRM datasets; use -scale to iterate quickly.
 //
@@ -18,20 +16,9 @@
 // per-query buffer discipline), so the I/O numbers are bit-for-bit identical
 // to the sequential run. The default comes from UCAT_BENCH_WORKERS (else 1);
 // -workers 0 means GOMAXPROCS.
-//
-// -benchparallel times full figure regeneration sequentially (workers=1) and
-// in parallel (-workers), verifies the two runs' I/O series are identical,
-// and appends the wall-clock trajectory to the given JSON file.
-//
-// -benchpool measures the serving layer's ONE shared striped buffer pool
-// (DESIGN.md §18) on a zipf-ish PETQ mix: eviction policy (clock/lru/gdsf)
-// x stripe count x total frames, against the pre-refactor per-worker
-// private pools at equal total memory, cross-checking that every variant's
-// answers are bit-identical to direct execution.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,30 +33,6 @@ import (
 	"ucat/internal/invidx"
 	"ucat/internal/obs"
 )
-
-// benchFigure is one figure's sequential-vs-parallel wall-clock record.
-type benchFigure struct {
-	ID           string  `json:"id"`
-	SequentialNs int64   `json:"sequential_ns"`
-	ParallelNs   int64   `json:"parallel_ns"`
-	Speedup      float64 `json:"speedup"`
-	IOsIdentical bool    `json:"ios_identical"`
-}
-
-// benchReport is the BENCH_parallel.json payload.
-type benchReport struct {
-	Generated         string        `json:"generated"`
-	Workers           int           `json:"workers"`
-	NumCPU            int           `json:"num_cpu"`
-	GOMAXPROCS        int           `json:"gomaxprocs"`
-	Scale             float64       `json:"scale"`
-	Queries           int           `json:"queries"`
-	Seed              int64         `json:"seed"`
-	Figures           []benchFigure `json:"figures"`
-	TotalSequentialNs int64         `json:"total_sequential_ns"`
-	TotalParallelNs   int64         `json:"total_parallel_ns"`
-	Speedup           float64       `json:"speedup"`
-}
 
 func defaultWorkers() int {
 	if s := os.Getenv("UCAT_BENCH_WORKERS"); s != "" {
@@ -92,11 +55,8 @@ func main() {
 		format     = flag.String("format", "table", "output format: table | csv | json")
 		parallel   = flag.Bool("parallel", false, "run the selected figures concurrently (order preserved in output)")
 		workers    = flag.Int("workers", defaultWorkers(), "goroutines per data point's query batch; 0 = GOMAXPROCS (default from UCAT_BENCH_WORKERS)")
-		benchPar   = flag.String("benchparallel", "", "time sequential vs parallel figure regeneration and write the trajectory to this JSON file")
 		decCache   = flag.Bool("decodecache", true, "enable the relation-wide decoded-page cache (never changes I/O counts; off is for A/B measurement)")
 		readahead  = flag.Bool("readahead", false, "enable sibling-leaf prefetch on inverted-list scans (prefetch reads are counted outside the I/O metric)")
-		benchCache = flag.String("benchcache", "", "measure the fig4 PETQ workload cache-off vs cache-on (ns/q, allocs/q, hit rate, seq vs parallel) and write the report to this JSON file")
-		benchPool  = flag.String("benchpool", "", "sweep the shared serving pool (eviction policy x stripes x frames vs per-worker private pools at equal total memory) and write the report to this JSON file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		debugAddr  = flag.String("debugaddr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
@@ -171,36 +131,6 @@ func main() {
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "ucatbench: no figure matched %q\n", *figs)
 		os.Exit(1)
-	}
-
-	if *benchCache != "" {
-		if err := runBenchCache(params, *benchCache); err != nil {
-			fmt.Fprintf(os.Stderr, "ucatbench: benchcache: %v\n", err)
-			os.Exit(1)
-		}
-		writeMetricsOut(*metricsOut)
-		writeMemProfile(*memprofile)
-		return
-	}
-
-	if *benchPool != "" {
-		if err := runBenchPool(params, *benchPool); err != nil {
-			fmt.Fprintf(os.Stderr, "ucatbench: benchpool: %v\n", err)
-			os.Exit(1)
-		}
-		writeMetricsOut(*metricsOut)
-		writeMemProfile(*memprofile)
-		return
-	}
-
-	if *benchPar != "" {
-		if err := runBenchParallel(selected, params, *benchPar); err != nil {
-			fmt.Fprintf(os.Stderr, "ucatbench: benchparallel: %v\n", err)
-			os.Exit(1)
-		}
-		writeMetricsOut(*metricsOut)
-		writeMemProfile(*memprofile)
-		return
 	}
 
 	results := make([]*exp.Figure, len(selected))
@@ -282,123 +212,6 @@ func writeMetricsOut(path string) {
 	fmt.Fprintf(os.Stderr, "[metrics: %d samples → %s]\n", n, path)
 }
 
-// runBenchParallel regenerates every selected figure twice — workers=1 and
-// workers=params.Workers — verifies the I/O series match exactly, and writes
-// the wall-clock trajectory to path.
-func runBenchParallel(selected []exp.Runner, params exp.Params, path string) error {
-	report := benchReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Workers:    params.Workers,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      params.Scale,
-		Queries:    params.Queries,
-		Seed:       params.Seed,
-	}
-	seq := params
-	seq.Workers = 1
-	for _, r := range selected {
-		t0 := time.Now()
-		figSeq, err := r.Run(seq)
-		if err != nil {
-			return fmt.Errorf("%s sequential: %w", r.ID, err)
-		}
-		seqNs := time.Since(t0).Nanoseconds()
-
-		t1 := time.Now()
-		figPar, err := r.Run(params)
-		if err != nil {
-			return fmt.Errorf("%s parallel: %w", r.ID, err)
-		}
-		parNs := time.Since(t1).Nanoseconds()
-
-		bf := benchFigure{
-			ID:           r.ID,
-			SequentialNs: seqNs,
-			ParallelNs:   parNs,
-			Speedup:      float64(seqNs) / float64(parNs),
-			IOsIdentical: sameIOs(figSeq, figPar),
-		}
-		if !bf.IOsIdentical {
-			fmt.Fprintf(os.Stderr, "ucatbench: WARNING: %s parallel I/O series differ from sequential\n", r.ID)
-		}
-		report.Figures = append(report.Figures, bf)
-		report.TotalSequentialNs += seqNs
-		report.TotalParallelNs += parNs
-		fmt.Fprintf(os.Stderr, "[%s seq %v | par(%d) %v | ×%.2f]\n", r.ID,
-			time.Duration(seqNs).Round(time.Millisecond), params.Workers,
-			time.Duration(parNs).Round(time.Millisecond), bf.Speedup)
-	}
-	report.Speedup = float64(report.TotalSequentialNs) / float64(report.TotalParallelNs)
-
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "[total seq %v | par %v | ×%.2f on %d CPU(s) → %s]\n",
-		time.Duration(report.TotalSequentialNs).Round(time.Millisecond),
-		time.Duration(report.TotalParallelNs).Round(time.Millisecond),
-		report.Speedup, report.NumCPU, path)
-	return nil
-}
-
-// runBenchCache measures the decoded-page cache on the Figure-4 PETQ
-// workload and writes BENCH_cache.json. See exp.BenchCache.
-func runBenchCache(params exp.Params, path string) error {
-	report, err := exp.BenchCache(params)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		_ = f.Close() // the write error takes precedence over the close error
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, a := range report.Access {
-		// Printed as the signed change from cache-off to cache-on:
-		// negative = cache-on is cheaper.
-		fmt.Fprintf(os.Stderr, "[%s: allocs/q %+.1f%% | ns/q %+.1f%% | ios identical %v]\n",
-			a.Label, -a.AllocsReductionPct, -a.NsReductionPct, a.IOsIdentical)
-		for _, v := range a.Variants {
-			fmt.Fprintf(os.Stderr, "  %-14s %10.0f ns/q %10.0f allocs/q %8.1f ios/q  hit %.3f\n",
-				v.Label, v.NsPerQuery, v.AllocsPerQuery, v.IOsPerQuery, v.CacheHitRate)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "[benchcache → %s]\n", path)
-	return nil
-}
-
-// sameIOs reports whether two figures carry exactly the same I/O series —
-// same labels, same x values, bitwise-equal I/O means.
-func sameIOs(a, b *exp.Figure) bool {
-	if len(a.Series) != len(b.Series) {
-		return false
-	}
-	for i := range a.Series {
-		sa, sb := a.Series[i], b.Series[i]
-		if sa.Label != sb.Label || len(sa.Points) != len(sb.Points) {
-			return false
-		}
-		for j := range sa.Points {
-			//ucatlint:ignore floatcmp exact cross-run determinism is the property under test
-			if sa.Points[j].X != sb.Points[j].X || sa.Points[j].IOs != sb.Points[j].IOs {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // writeMemProfile dumps a heap profile if a path was requested.
 func writeMemProfile(path string) {
 	if path == "" {
@@ -418,36 +231,4 @@ func writeMemProfile(path string) {
 		fmt.Fprintf(os.Stderr, "ucatbench: memprofile: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runBenchPool runs the shared-pool sweep and writes BENCH_pool.json,
-// echoing a human-readable summary (hit rate is the headline on a
-// single-CPU host; wall-clock is recorded but contended).
-func runBenchPool(params exp.Params, path string) error {
-	report, err := exp.BenchPool(params)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		_ = f.Close() // the write error takes precedence over the close error
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, b := range report.Baselines {
-		fmt.Fprintf(os.Stderr, "[baseline private x%d @ %3d frames/worker: hit %.3f  reads %d  mismatches %d]\n",
-			b.Workers, b.FramesPerWorker, b.HitRate, b.Reads, b.Mismatches)
-	}
-	for _, v := range report.Variants {
-		fmt.Fprintf(os.Stderr, "  %-5s stripes=%d frames=%-4d hit %.3f  reads %6d  evictions %6d  mismatches %d\n",
-			v.Policy, v.Stripes, v.Frames, v.HitRate, v.Reads, v.Evictions, v.Mismatches)
-	}
-	fmt.Fprintf(os.Stderr, "[answers identical across all runs: %v]\n", report.AllAnswersIdentical)
-	fmt.Fprintf(os.Stderr, "[benchpool → %s]\n", path)
-	return nil
 }

@@ -2,16 +2,14 @@ package main
 
 // Concurrent-ingest mode (-ingestclients): writers stream insert batches at
 // POST /v1/ingest for the whole run — throughout the query sweeps AND the
-// -load determinism check — and the document records the sustained durable
-// throughput next to the query numbers. The writers draw their items from a
-// domain disjoint from the generated queries' (ingestBase onward), so every
+// -load determinism check. The writers draw their items from a domain
+// disjoint from the generated queries' (ingestBase onward), so every
 // ingested tuple has zero match probability for every check query and the
 // served-vs-direct comparison stays exact while the indexes are mutating
 // underneath it: the check passing under load is the point.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,47 +23,20 @@ import (
 // any realistic -domain so write traffic never intersects query support.
 const ingestBase = 1 << 20
 
-// ingestSweep is one server configuration's ingest measurement in
-// BENCH_ingest.json; scripts/bench_ingest.sh accumulates one per
-// -groupcommit setting with -merge.
-type ingestSweep struct {
-	Label       string  `json:"label,omitempty"` // server config, e.g. "groupcommit=2ms"
-	Clients     int     `json:"clients"`
-	Batch       int     `json:"batch"` // ops per request
-	Ops         uint64  `json:"ops"`   // durably acked operations
-	Errors      uint64  `json:"errors"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	P50MS       float64 `json:"p50_ms"` // per-request durable-ack latency
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	LastLSN     uint64  `json:"last_lsn"`
-	Fsyncs      uint64  `json:"fsyncs"`        // fsyncs the run issued (from ucat_ingest_wal_fsyncs_total)
-	OpsPerFsync float64 `json:"ops_per_fsync"` // group-commit coalescing factor
-}
-
-// String renders the sweep as a one-line summary for the terminal.
-func (is ingestSweep) String() string {
-	return fmt.Sprintf("%8.1f ops/s  p50 %6.2fms  p99 %6.2fms  %6.1f ops/fsync",
-		is.OpsPerSec, is.P50MS, is.P99MS, is.OpsPerFsync)
-}
-
-// ingestRun is the live state of the writer goroutines.
+// ingestRun is the live state of the writer goroutines. Its counters count
+// operations as completed and requests as sent/errors.
 type ingestRun struct {
-	c       counters
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	start   time.Time
-	fsyncs0 uint64
+	c     counters
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	start time.Time
 }
 
 // startIngest probes the endpoint once (failing fast on a read-only server)
 // and launches the writers.
 func startIngest(client *http.Client, p *params) (*ingestRun, error) {
 	r := &ingestRun{stop: make(chan struct{})}
-	if st, err := fetchIngestStats(client, p); err == nil {
-		r.fsyncs0 = st.WAL.Fsyncs
-	}
-	status, _, err := postIngestBatch(client, p, ingestBody(rand.New(rand.NewSource(p.seed)), 1))
+	status, err := postIngestBatch(client, p, ingestBody(rand.New(rand.NewSource(p.seed)), 1))
 	if err != nil {
 		return nil, fmt.Errorf("-ingestclients: probing /v1/ingest: %w", err)
 	}
@@ -87,7 +58,7 @@ func startIngest(client *http.Client, p *params) (*ingestRun, error) {
 				body := ingestBody(rng, p.ingestBatch)
 				r.c.sent.Add(1)
 				t0 := time.Now()
-				status, _, err := postIngestBatch(client, p, body)
+				status, err := postIngestBatch(client, p, body)
 				if err != nil || status != http.StatusOK {
 					r.c.errors.Add(1)
 					continue
@@ -100,31 +71,12 @@ func startIngest(client *http.Client, p *params) (*ingestRun, error) {
 	return r, nil
 }
 
-// finish stops the writers and folds the run into a document entry.
-func (r *ingestRun) finish(client *http.Client, p *params) ingestSweep {
+// finish stops the writers and folds the run into a level: qps is durably
+// acked operations per second, the quantiles are per-request ack latencies.
+func (r *ingestRun) finish() level {
 	close(r.stop)
 	r.wg.Wait()
-	elapsed := time.Since(r.start)
-	lvl := r.c.finish(elapsed)
-	is := ingestSweep{
-		Label:     p.ingestLabel,
-		Clients:   p.ingestClients,
-		Batch:     p.ingestBatch,
-		Ops:       lvl.Completed,
-		Errors:    lvl.Errors,
-		OpsPerSec: float64(lvl.Completed) / elapsed.Seconds(),
-		P50MS:     lvl.P50MS,
-		P95MS:     lvl.P95MS,
-		P99MS:     lvl.P99MS,
-	}
-	if st, err := fetchIngestStats(client, p); err == nil {
-		is.LastLSN = st.WAL.DurableLSN
-		is.Fsyncs = st.WAL.Fsyncs - r.fsyncs0
-		if is.Fsyncs > 0 {
-			is.OpsPerFsync = float64(is.Ops) / float64(is.Fsyncs)
-		}
-	}
-	return is
+	return r.c.finish(time.Since(r.start))
 }
 
 // ingestBody renders one insert batch: n two-item distributions over the
@@ -144,49 +96,14 @@ func ingestBody(rng *rand.Rand, n int) []byte {
 }
 
 // postIngestBatch sends one batch and returns the HTTP status.
-func postIngestBatch(client *http.Client, p *params, body []byte) (int, []byte, error) {
+func postIngestBatch(client *http.Client, p *params, body []byte) (int, error) {
 	resp, err := client.Post("http://"+p.addr+"/v1/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return resp.StatusCode, err
 	}
-	return resp.StatusCode, payload, nil
-}
-
-// ingestStatsDoc mirrors the ingest section of ucatd's /v1/stats.
-type ingestStatsDoc struct {
-	DeltaOps int    `json:"delta_ops"`
-	Epoch    uint64 `json:"epoch"`
-	Tuples   int    `json:"tuples"`
-	WAL      struct {
-		DurableLSN uint64 `json:"durable_lsn"`
-		Fsyncs     uint64 `json:"fsyncs"`
-	} `json:"wal"`
-}
-
-// fetchIngestStats grabs the ingest section from /v1/stats; absent on a
-// read-only server.
-func fetchIngestStats(client *http.Client, p *params) (*ingestStatsDoc, error) {
-	resp, err := client.Get("http://" + p.addr + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var payload struct {
-		Ingest *ingestStatsDoc `json:"ingest"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, err
-	}
-	if payload.Ingest == nil {
-		return nil, fmt.Errorf("no ingest section (read-only server)")
-	}
-	return payload.Ingest, nil
+	return resp.StatusCode, nil
 }

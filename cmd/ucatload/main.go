@@ -1,34 +1,35 @@
-// Command ucatload drives load at a running ucatd and writes a
-// figures-grade benchmark document, BENCH_serve.json, recording throughput,
-// client-observed latency quantiles and rejection rate at each offered-load
-// level. Each -proto (json, binary, or both) runs its own pair of sweeps:
+// Command ucatload is the smoke driver behind scripts/wire_smoke.sh and
+// scripts/ingest_smoke.sh: a closed-loop, mixed-kind load generator over
+// both of ucatd's protocols, with optional concurrent ingest writers and the
+// served-vs-direct determinism check. It reports on stdout and by exit
+// status; measurements worth keeping come from the benchmark
+// (go run ./benchmark), not from here.
 //
-//   - closed loop (-clients): N clients issue queries back-to-back, the
-//     classic throughput/latency trade-off as concurrency grows;
-//   - open loop (-rates): queries arrive on a fixed schedule regardless of
-//     how the server keeps up, which is what exposes admission control —
-//     past saturation the rejection rate climbs instead of the queue.
-//
-// The workload mixes the kinds named by -kinds; -hotset replays queries from
-// a small pre-drawn pool so a batching server actually coalesces them, and
-// -merge appends this run's sweeps to an existing document so a script can
-// benchmark several server configurations (batching on/off) into one file.
+// For each -proto (json, binary) and each -clients level, N clients issue
+// queries back-to-back for -dur, drawing from the -kinds mix; -hotset replays
+// queries from a small pre-drawn pool so a batching server actually
+// coalesces them. With -ingestclients, writers stream inserts at /v1/ingest
+// for the whole run.
 //
 // With -load it also replays a deterministic workload over the batchable
 // kinds (PETQ, top-k, window) three ways — directly against the same
 // snapshot in-process, through the JSON protocol, and through the binary
 // protocol, the served pair issued concurrently so a batching server
-// coalesces them — and fails if a single answer differs anywhere: the
-// serving layer, either encoding of it, batched or not, must never change a
-// result.
+// coalesces them: the serving layer, either encoding of it, batched or not,
+// must never change a result.
 //
-//	$ ucatload -addr localhost:8080 -proto json,binary -clients 1,4,16 \
-//	      -dur 5s -load rel.ucat -out BENCH_serve.json
+// The exit status is non-zero when a load level completed nothing, when any
+// transport or protocol error occurred (queries or ingest), or when a single
+// served answer differed from direct execution.
+//
+//	$ ucatload -addr localhost:8080 -proto json,binary -clients 1,4 \
+//	      -dur 2s -load rel.ucat
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,13 +44,12 @@ import (
 	"time"
 
 	"ucat/internal/core"
-	"ucat/internal/obs"
 	"ucat/internal/uda"
 	"ucat/internal/wire"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "ucatload: %v\n", err)
 		os.Exit(1)
 	}
@@ -57,34 +57,25 @@ func main() {
 
 // params collects the parsed command line.
 type params struct {
-	addr     string
-	protos   []string
-	kinds    []string
-	clients  []int
-	rates    []int
-	dur      time.Duration
-	domain   int
-	items    int
-	tau      float64
-	k        int
-	c        uint
-	hotset   int
-	seed     int64
-	load     string
-	check    int
-	out      string
-	merge    bool
-	batching bool
-	timeout  time.Duration
-	slowlog  bool
+	addr    string
+	protos  []string
+	kinds   []string
+	clients []int
+	dur     time.Duration
+	domain  int
+	items   int
+	tau     float64
+	k       int
+	c       uint
+	hotset  int
+	seed    int64
+	load    string
+	check   int
+	timeout time.Duration
 
 	ingestClients int
 	ingestBatch   int
-	ingestLabel   string
 }
-
-// slowlogTop bounds the slow-query records embedded per sweep point.
-const slowlogTop = 5
 
 // genKinds is the closed set -kinds accepts, matching the server's API.
 var genKinds = map[string]bool{
@@ -92,44 +83,39 @@ var genKinds = map[string]bool{
 	"windowtopk": true, "dstq": true, "neighbor": true,
 }
 
-func run() error {
+// run is the whole program: parse args, drive the load, print to out, and
+// return a non-nil error for every outcome the exit status must report.
+func run(args []string, out io.Writer) error {
 	var p params
-	var protos, kinds, clients, rates string
-	flag.StringVar(&p.addr, "addr", "localhost:8080", "ucatd address (host:port)")
-	flag.StringVar(&protos, "proto", "json", "protocols to sweep, comma separated: json | binary")
-	flag.StringVar(&kinds, "kinds", "petq", "workload query-kind mix, comma separated (petq,topk,window,windowtopk,dstq,neighbor)")
-	flag.StringVar(&clients, "clients", "1,4,16", "closed-loop client counts, comma separated (empty = skip)")
-	flag.StringVar(&rates, "rates", "", "open-loop offered rates in queries/sec, comma separated (empty = skip)")
-	flag.DurationVar(&p.dur, "dur", 5*time.Second, "measurement duration per load level")
-	flag.IntVar(&p.domain, "domain", 50, "item domain the generated queries draw from (match the dataset)")
-	flag.IntVar(&p.items, "items", 3, "non-zero items per generated query distribution")
-	flag.Float64Var(&p.tau, "tau", 0.1, "threshold for generated petq/window queries (and dstq distance)")
-	flag.IntVar(&p.k, "k", 10, "k for generated topk/windowtopk/neighbor queries")
-	flag.UintVar(&p.c, "c", 2, "window radius for generated window/windowtopk queries")
-	flag.IntVar(&p.hotset, "hotset", 0,
+	var protos, kinds, clients string
+	fs := flag.NewFlagSet("ucatload", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&p.addr, "addr", "localhost:8080", "ucatd address (host:port)")
+	fs.StringVar(&protos, "proto", "json", "protocols to sweep, comma separated: json | binary")
+	fs.StringVar(&kinds, "kinds", "petq", "workload query-kind mix, comma separated (petq,topk,window,windowtopk,dstq,neighbor)")
+	fs.StringVar(&clients, "clients", "1,4,16", "closed-loop client counts, comma separated (empty = skip)")
+	fs.DurationVar(&p.dur, "dur", 5*time.Second, "measurement duration per load level")
+	fs.IntVar(&p.domain, "domain", 50, "item domain the generated queries draw from (match the dataset)")
+	fs.IntVar(&p.items, "items", 3, "non-zero items per generated query distribution")
+	fs.Float64Var(&p.tau, "tau", 0.1, "threshold for generated petq/window queries (and dstq distance)")
+	fs.IntVar(&p.k, "k", 10, "k for generated topk/windowtopk/neighbor queries")
+	fs.UintVar(&p.c, "c", 2, "window radius for generated window/windowtopk queries")
+	fs.IntVar(&p.hotset, "hotset", 0,
 		"replay queries from a pool of this many pre-drawn cases instead of drawing fresh ones (duplicates let the server's batcher coalesce; 0 = all fresh)")
-	flag.Int64Var(&p.seed, "seed", 1, "workload PRNG seed")
-	flag.StringVar(&p.load, "load", "", "relation snapshot for the determinism check (empty = skip)")
-	flag.IntVar(&p.check, "check", 50, "determinism-check query count per kind (with -load)")
-	flag.StringVar(&p.out, "out", "BENCH_serve.json", "output document path (empty = stdout only)")
-	flag.BoolVar(&p.merge, "merge", false, "append this run's sweeps to an existing -out document instead of replacing it")
-	flag.BoolVar(&p.batching, "batching", false, "label recorded on this run's sweeps: the server was started with micro-batching enabled")
-	flag.DurationVar(&p.timeout, "timeout", 10*time.Second, "client-side HTTP timeout")
-	flag.BoolVar(&p.slowlog, "slowlog", false,
-		"embed the server's top slow-query flight records per sweep point (needs ucatd's /debug/requests)")
-	flag.IntVar(&p.ingestClients, "ingestclients", 0,
+	fs.Int64Var(&p.seed, "seed", 1, "workload PRNG seed")
+	fs.StringVar(&p.load, "load", "", "relation snapshot for the determinism check (empty = skip)")
+	fs.IntVar(&p.check, "check", 50, "determinism-check query count per kind (with -load)")
+	fs.DurationVar(&p.timeout, "timeout", 10*time.Second, "client-side HTTP timeout")
+	fs.IntVar(&p.ingestClients, "ingestclients", 0,
 		"concurrent ingest writers streaming inserts at /v1/ingest for the whole run, query sweeps and determinism check included (0 = none; needs ucatd -wal)")
-	flag.IntVar(&p.ingestBatch, "ingestbatch", 8, "operations per ingest request")
-	flag.StringVar(&p.ingestLabel, "ingestlabel", "",
-		"server-configuration label recorded on this run's ingest sweep (e.g. groupcommit=2ms)")
-	flag.Parse()
+	fs.IntVar(&p.ingestBatch, "ingestbatch", 8, "operations per ingest request")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var err error
 	if p.clients, err = parseInts(clients); err != nil {
 		return fmt.Errorf("-clients: %w", err)
-	}
-	if p.rates, err = parseInts(rates); err != nil {
-		return fmt.Errorf("-rates: %w", err)
 	}
 	p.protos = splitList(protos)
 	for _, pr := range p.protos {
@@ -150,23 +136,6 @@ func run() error {
 		return fmt.Errorf("-kinds: at least one kind required")
 	}
 
-	doc := benchDoc{
-		Addr:     p.addr,
-		Duration: p.dur.String(),
-		Seed:     p.seed,
-		When:     time.Now().UTC().Format(time.RFC3339),
-	}
-	if p.merge {
-		if old := readDoc(p.out); old != nil {
-			doc.Sweeps = old.Sweeps
-			doc.Ingest = old.Ingest
-			// Sections this run doesn't regenerate survive the merge: a
-			// batching-off pass without -load must not erase the check the
-			// batching-on pass recorded.
-			doc.Determinism = old.Determinism
-			doc.Pool = old.Pool
-		}
-	}
 	client := &http.Client{
 		Timeout: p.timeout,
 		Transport: &http.Transport{
@@ -174,21 +143,15 @@ func run() error {
 			MaxIdleConnsPerHost: 256,
 		},
 	}
+	defer client.CloseIdleConnections()
+
+	// failures collects what the exit status reports; the run still goes on
+	// so the printed picture is complete.
+	var failures []string
 
 	// Writers start before the first sweep and keep streaming until after the
-	// determinism check: every number below is measured under sustained
-	// concurrent ingest.
+	// determinism check: everything below runs under sustained ingest.
 	var ing *ingestRun
-	finishIngest := func() {
-		if ing == nil {
-			return
-		}
-		is := ing.finish(client, &p)
-		doc.Ingest = append(doc.Ingest, is)
-		fmt.Printf("ingest [%s] %d writers × %d-op batches: %s\n",
-			is.Label, is.Clients, is.Batch, is)
-		ing = nil
-	}
 	if p.ingestClients > 0 {
 		if ing, err = startIngest(client, &p); err != nil {
 			return err
@@ -196,155 +159,69 @@ func run() error {
 	}
 
 	for _, proto := range p.protos {
-		sw := sweep{Proto: proto, Batching: p.batching, Kinds: p.kinds, Hotset: p.hotset}
 		wl := newWorkload(&p)
 		for _, n := range p.clients {
-			since := slowlogMark(client, &p)
 			lvl := runClosed(client, &p, wl, proto, n)
-			lvl.SlowQueries = fetchSlowSince(client, &p, since)
-			sw.Closed = append(sw.Closed, lvl)
-			fmt.Printf("closed [%s%s] %3d clients: %s\n", proto, batchTag(p.batching), n, lvl)
+			fmt.Fprintf(out, "closed [%s] %3d clients: %s\n", proto, n, lvl)
+			if lvl.completed == 0 {
+				failures = append(failures, fmt.Sprintf("%s at %d clients completed nothing", proto, n))
+			}
+			if lvl.errors > 0 {
+				failures = append(failures, fmt.Sprintf("%s at %d clients: %d transport/protocol errors", proto, n, lvl.errors))
+			}
 		}
-		for _, r := range p.rates {
-			since := slowlogMark(client, &p)
-			lvl := runOpen(client, &p, wl, proto, r)
-			lvl.SlowQueries = fetchSlowSince(client, &p, since)
-			sw.Open = append(sw.Open, lvl)
-			fmt.Printf("open [%s%s] %6d q/s:    %s\n", proto, batchTag(p.batching), r, lvl)
-		}
-		doc.Sweeps = append(doc.Sweeps, sw)
-	}
-	// Legacy mirror: the first sweep's levels stay addressable under the
-	// original flat keys so pre-sweep readers of the document keep working.
-	if len(doc.Sweeps) > 0 {
-		doc.Closed = doc.Sweeps[0].Closed
-		doc.Open = doc.Sweeps[0].Open
-	}
-
-	if pool, err := fetchPoolStats(client, &p); err != nil {
-		fmt.Fprintf(os.Stderr, "ucatload: /v1/stats pool snapshot unavailable: %v\n", err)
-	} else {
-		doc.Pool = pool
-		fmt.Printf("server pool: %s, %d frames, %d stripes, hit rate %.3f\n",
-			pool.Policy, pool.Frames, pool.Stripes, pool.HitRate)
 	}
 
 	if p.load != "" {
-		chk, err := runCheck(client, &p)
+		mismatches, err := runCheck(client, &p, out)
 		if err != nil {
-			return err
-		}
-		doc.Determinism = chk
-		for _, kind := range checkKinds {
-			kc := chk.PerKind[kind]
-			fmt.Printf("determinism [%s]: %d queries, %d mismatches\n", kind, kc.Queries, kc.Mismatches)
-		}
-		finishIngest() // the check ran with the writers still streaming
-		if chk.Mismatches != 0 {
-			writeDoc(&doc, p.out)
-			return fmt.Errorf("served answers diverged from direct execution")
+			failures = append(failures, err.Error())
+		} else if mismatches > 0 {
+			failures = append(failures, fmt.Sprintf("%d served answers diverged from direct execution", mismatches))
 		}
 	}
-	finishIngest()
 
-	return writeDoc(&doc, p.out)
-}
-
-// batchTag renders the sweep label suffix for terminal lines.
-func batchTag(batching bool) string {
-	if batching {
-		return "+batch"
+	if ing != nil { // the check ran with the writers still streaming
+		lvl := ing.finish()
+		fmt.Fprintf(out, "ingest %d writers × %d-op batches: %8.1f ops/s  p50 %6.2fms  p99 %6.2fms  errors %d\n",
+			p.ingestClients, p.ingestBatch, lvl.qps, lvl.p50, lvl.p99, lvl.errors)
+		if lvl.completed == 0 {
+			failures = append(failures, "ingest writers completed nothing")
+		}
+		if lvl.errors > 0 {
+			failures = append(failures, fmt.Sprintf("ingest: %d failed requests", lvl.errors))
+		}
 	}
-	return ""
+
+	if len(failures) > 0 {
+		return errors.New(strings.Join(failures, "; "))
+	}
+	return nil
 }
 
-// benchDoc is the BENCH_serve.json schema. Sweeps is the primary record —
-// one entry per (protocol, batching) combination measured, possibly
-// accumulated across runs with -merge. The flat Closed/Open fields mirror
-// the first sweep for readers that predate the sweep dimension.
-type benchDoc struct {
-	Addr        string        `json:"addr"`
-	Duration    string        `json:"duration_per_level"`
-	Seed        int64         `json:"seed"`
-	When        string        `json:"when"`
-	Sweeps      []sweep       `json:"sweeps,omitempty"`
-	Ingest      []ingestSweep `json:"ingest,omitempty"`
-	Closed      []level       `json:"closed_loop,omitempty"`
-	Open        []level       `json:"open_loop,omitempty"`
-	Determinism *checkDoc     `json:"determinism,omitempty"`
-	Pool        *poolDoc      `json:"server_pool,omitempty"`
-}
-
-// sweep is one protocol's pair of load sweeps under one server
-// configuration.
-type sweep struct {
-	Proto    string   `json:"proto"`
-	Batching bool     `json:"batching"`
-	Kinds    []string `json:"kinds,omitempty"`
-	Hotset   int      `json:"hotset,omitempty"`
-	Closed   []level  `json:"closed_loop,omitempty"`
-	Open     []level  `json:"open_loop,omitempty"`
-}
-
-// poolDoc mirrors the shared-pool section of ucatd's /v1/stats, captured
-// after the sweeps so the document records the pool configuration and
-// lifetime hit rate behind the latency numbers.
-type poolDoc struct {
-	Policy    string  `json:"policy"`
-	Frames    int     `json:"frames"`
-	Stripes   int     `json:"stripes"`
-	Occupancy int     `json:"occupancy"`
-	Reads     uint64  `json:"reads"`
-	Hits      uint64  `json:"hits"`
-	HitRate   float64 `json:"hit_rate"`
-	Evictions uint64  `json:"evictions"`
-}
-
-// level is one offered-load measurement.
+// level is one offered-load measurement: outcome counts, completed
+// throughput (qps) and client-observed latency quantiles in milliseconds.
 type level struct {
-	Clients       int     `json:"clients,omitempty"`
-	OfferedQPS    int     `json:"offered_qps,omitempty"`
-	Sent          uint64  `json:"sent"`
-	Completed     uint64  `json:"completed"`
-	Rejected      uint64  `json:"rejected"`
-	Timeouts      uint64  `json:"timeouts"`
-	Errors        uint64  `json:"errors"`
-	ThroughputQPS float64 `json:"throughput_qps"`
-	RejectionRate float64 `json:"rejection_rate"`
-	P50MS         float64 `json:"p50_ms"`
-	P95MS         float64 `json:"p95_ms"`
-	P99MS         float64 `json:"p99_ms"`
-
-	// SlowQueries (-slowlog) is the server's view of this level's worst
-	// requests: the slowest flight records newly retained during the sweep
-	// point, span trees included — the document explains its own tail.
-	SlowQueries []obs.RequestRecord `json:"slow_queries,omitempty"`
+	sent, completed, rejected, errors uint64
+	qps, p50, p95, p99                float64
 }
 
-// String renders a level as a one-line summary for the terminal.
+// String renders a level as a one-line summary for the terminal; the
+// "p99 …ms" field is what scripts/ingest_smoke.sh parses.
 func (l level) String() string {
+	rejected := 0.0
+	if l.sent > 0 {
+		rejected = 100 * float64(l.rejected) / float64(l.sent)
+	}
 	return fmt.Sprintf("%8.1f q/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  rejected %5.1f%%",
-		l.ThroughputQPS, l.P50MS, l.P95MS, l.P99MS, 100*l.RejectionRate)
-}
-
-// checkDoc records the three-way determinism comparison (direct vs JSON vs
-// binary) per batchable kind. Queries and Mismatches total across kinds so
-// existing readers of the flat fields keep their contract.
-type checkDoc struct {
-	Queries    int                  `json:"queries"`
-	Mismatches int                  `json:"mismatches"`
-	PerKind    map[string]kindCheck `json:"per_kind"`
-}
-
-// kindCheck is one kind's slice of the determinism comparison.
-type kindCheck struct {
-	Queries    int `json:"queries"`
-	Mismatches int `json:"mismatches"`
+		l.qps, l.p50, l.p95, l.p99, rejected)
 }
 
 // counters accumulates per-level outcomes across client goroutines.
 type counters struct {
-	sent, completed, rejected, timeouts, errors atomic.Uint64
+	// rejected counts requests the server shed on purpose: queue full,
+	// draining, or deadline exceeded. errors is everything else that failed.
+	sent, completed, rejected, errors atomic.Uint64
 
 	mu   sync.Mutex
 	lats []float64 // milliseconds, completed queries only
@@ -356,7 +233,7 @@ func (c *counters) observe(ms float64) {
 	c.mu.Unlock()
 }
 
-// finish folds the counters into a level document.
+// finish folds the counters into a level.
 func (c *counters) finish(elapsed time.Duration) level {
 	sort.Float64s(c.lats)
 	q := func(p float64) float64 {
@@ -369,22 +246,16 @@ func (c *counters) finish(elapsed time.Duration) level {
 		}
 		return c.lats[i]
 	}
-	sent := c.sent.Load()
-	lvl := level{
-		Sent:          sent,
-		Completed:     c.completed.Load(),
-		Rejected:      c.rejected.Load(),
-		Timeouts:      c.timeouts.Load(),
-		Errors:        c.errors.Load(),
-		ThroughputQPS: float64(c.completed.Load()) / elapsed.Seconds(),
-		P50MS:         q(0.50),
-		P95MS:         q(0.95),
-		P99MS:         q(0.99),
+	return level{
+		sent:      c.sent.Load(),
+		completed: c.completed.Load(),
+		rejected:  c.rejected.Load(),
+		errors:    c.errors.Load(),
+		qps:       float64(c.completed.Load()) / elapsed.Seconds(),
+		p50:       q(0.50),
+		p95:       q(0.95),
+		p99:       q(0.99),
 	}
-	if sent > 0 {
-		lvl.RejectionRate = float64(lvl.Rejected) / float64(sent)
-	}
-	return lvl
 }
 
 // queryCase is one generated query: a kind plus the parameters that kind
@@ -454,41 +325,7 @@ func runClosed(client *http.Client, p *params, wl *workload, proto string, n int
 	}
 	start := time.Now()
 	wg.Wait()
-	return levelWithClients(c.finish(time.Since(start)), n, 0)
-}
-
-// runOpen measures one open-loop level: queries depart on a fixed schedule
-// whether or not earlier ones have answered, so a saturated server shows up
-// as rejections rather than coordinated slowdown.
-func runOpen(client *http.Client, p *params, wl *workload, proto string, qps int) level {
-	var c counters
-	interval := time.Second / time.Duration(qps)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	rng := rand.New(rand.NewSource(p.seed))
-	var wg sync.WaitGroup
-	start := time.Now()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for time.Since(start) < p.dur {
-		<-tick.C
-		body := encodeCase(wl.draw(rng), proto, 0)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			post(client, p, proto, body, &c)
-		}()
-	}
-	wg.Wait()
-	return levelWithClients(c.finish(time.Since(start)), 0, qps)
-}
-
-// levelWithClients stamps the load descriptor onto a finished level.
-func levelWithClients(lvl level, clients, qps int) level {
-	lvl.Clients = clients
-	lvl.OfferedQPS = qps
-	return lvl
+	return c.finish(time.Since(start))
 }
 
 // genQuery draws one random query distribution over the configured domain.
@@ -607,16 +444,11 @@ func post(client *http.Client, p *params, proto string, body []byte, c *counters
 	}
 	status := resp.StatusCode
 	if proto == "binary" && status == http.StatusOK {
-		frame, rerr := io.ReadAll(resp.Body)
-		if rerr != nil {
-			_ = resp.Body.Close()
-			c.errors.Add(1)
-			return
-		}
-		if status, err = wireStatus(frame); err != nil {
-			_ = resp.Body.Close()
-			c.errors.Add(1)
-			return
+		status = 0 // an unreadable or undecodable frame counts as an error below
+		if frame, rerr := io.ReadAll(resp.Body); rerr == nil {
+			if rsp, derr := decodeWire(frame); derr == nil {
+				status = rsp.Status
+			}
 		}
 	} else {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -626,108 +458,31 @@ func post(client *http.Client, p *params, proto string, body []byte, c *counters
 	case http.StatusOK:
 		c.completed.Add(1)
 		c.observe(float64(time.Since(start).Microseconds()) / 1000)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusRequestTimeout:
 		c.rejected.Add(1)
-	case http.StatusRequestTimeout:
-		c.timeouts.Add(1)
 	default:
 		c.errors.Add(1)
 	}
 }
 
-// wireStatus decodes a binary response frame far enough to classify its
-// outcome, mapping the in-band OK encoding (0) to HTTP 200.
-func wireStatus(frame []byte) (int, error) {
+// decodeWire decodes a binary response frame, mapping the in-band OK
+// encoding (status 0) to HTTP 200 so both protocols classify alike.
+func decodeWire(frame []byte) (wire.Response, error) {
+	var rsp wire.Response
 	ftype, body, err := wire.DecodeFrame(frame)
 	if err != nil {
-		return 0, err
+		return rsp, err
 	}
 	if ftype != wire.FrameResponse {
-		return 0, fmt.Errorf("frame type %#x, want response", ftype)
+		return rsp, fmt.Errorf("frame type %#x, want response", ftype)
 	}
-	var rsp wire.Response
 	if err := wire.DecodeResponse(body, &rsp); err != nil {
-		return 0, err
+		return rsp, err
 	}
 	if rsp.Status == 0 {
-		return http.StatusOK, nil
+		rsp.Status = http.StatusOK
 	}
-	return rsp.Status, nil
-}
-
-// fetchPoolStats grabs the shared-pool section from ucatd's /v1/stats.
-func fetchPoolStats(client *http.Client, p *params) (*poolDoc, error) {
-	resp, err := client.Get("http://" + p.addr + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var payload struct {
-		Pool poolDoc `json:"pool"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, err
-	}
-	return &payload.Pool, nil
-}
-
-// slowlogMark records where the server's trace-ID sequence stands before a
-// sweep point, so fetchSlowSince can keep only records the level itself
-// produced. Returns 0 (keep everything) when -slowlog is off or the endpoint
-// is unavailable.
-func slowlogMark(client *http.Client, p *params) uint64 {
-	if !p.slowlog {
-		return 0
-	}
-	resp, err := client.Get("http://" + p.addr + "/debug/requests?limit=1")
-	if err != nil {
-		return 0
-	}
-	defer func() { _ = resp.Body.Close() }()
-	var recs []obs.RequestRecord
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&recs) != nil || len(recs) == 0 {
-		return 0
-	}
-	return recs[0].ID
-}
-
-// fetchSlowSince pulls the slow-request rings from /debug/requests and keeps
-// the slowlogTop slowest records this sweep point added (trace IDs beyond
-// since). A server without the endpoint degrades to an absent field, never a
-// failed benchmark.
-func fetchSlowSince(client *http.Client, p *params, since uint64) []obs.RequestRecord {
-	if !p.slowlog {
-		return nil
-	}
-	resp, err := client.Get("http://" + p.addr + "/debug/requests?outcome=slow&limit=1000")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ucatload: -slowlog: %v\n", err)
-		return nil
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "ucatload: -slowlog: /debug/requests status %d\n", resp.StatusCode)
-		return nil
-	}
-	var recs []obs.RequestRecord
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		fmt.Fprintf(os.Stderr, "ucatload: -slowlog: decoding /debug/requests: %v\n", err)
-		return nil
-	}
-	fresh := recs[:0]
-	for _, r := range recs {
-		if r.ID > since {
-			fresh = append(fresh, r)
-		}
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].LatencyNS > fresh[j].LatencyNS })
-	if len(fresh) > slowlogTop {
-		fresh = fresh[:slowlogTop]
-	}
-	return fresh
+	return rsp, nil
 }
 
 // checkKinds is the determinism check's coverage: the batchable kinds, whose
@@ -735,24 +490,23 @@ func fetchSlowSince(client *http.Client, p *params, since uint64) []obs.RequestR
 var checkKinds = []string{"petq", "topk", "window"}
 
 // runCheck replays a deterministic workload per batchable kind three ways —
-// direct, JSON-served, binary-served — comparing every answer bit for bit.
-// The two served requests go out concurrently with identical distributions,
-// so on a batching server they coalesce into one traversal and the check
-// also proves batch carving exact.
-func runCheck(client *http.Client, p *params) (*checkDoc, error) {
+// direct, JSON-served, binary-served — comparing every answer bit for bit,
+// and returns how many differed. The two served requests go out concurrently
+// with identical distributions, so on a batching server they coalesce into
+// one traversal and the check also proves batch carving exact.
+func runCheck(client *http.Client, p *params, out io.Writer) (mismatches int, err error) {
 	rel, err := core.LoadRelationFile(p.load)
 	if err != nil {
-		return nil, fmt.Errorf("determinism check: %w", err)
+		return 0, fmt.Errorf("determinism check: %w", err)
 	}
-	chk := &checkDoc{PerKind: make(map[string]kindCheck, len(checkKinds))}
 	for ki, kind := range checkKinds {
 		rng := rand.New(rand.NewSource(p.seed + 7919*int64(ki+1)))
-		kc := kindCheck{Queries: p.check}
+		bad := 0
 		for i := 0; i < p.check; i++ {
 			qc := queryCase{kind: kind, q: genQuery(p, rng), tau: p.tau, k: p.k, c: uint32(p.c)}
 			want, err := direct(rel, qc)
 			if err != nil {
-				return nil, fmt.Errorf("direct %s: %w", kind, err)
+				return 0, fmt.Errorf("direct %s: %w", kind, err)
 			}
 			limit := len(want) + 1
 
@@ -770,20 +524,19 @@ func runCheck(client *http.Client, p *params) (*checkDoc, error) {
 			}()
 			wg.Wait()
 			if jerr != nil {
-				return nil, fmt.Errorf("served %s (json): %w", kind, jerr)
+				return 0, fmt.Errorf("served %s (json): %w", kind, jerr)
 			}
 			if berr != nil {
-				return nil, fmt.Errorf("served %s (binary): %w", kind, berr)
+				return 0, fmt.Errorf("served %s (binary): %w", kind, berr)
 			}
 			if !sameAnswers(jm, want) || !sameAnswers(bm, want) || !sameMatches(jm, bm) {
-				kc.Mismatches++
+				bad++
 			}
 		}
-		chk.PerKind[kind] = kc
-		chk.Queries += kc.Queries
-		chk.Mismatches += kc.Mismatches
+		fmt.Fprintf(out, "determinism [%s]: %d queries, %d mismatches\n", kind, p.check, bad)
+		mismatches += bad
 	}
-	return chk, nil
+	return mismatches, nil
 }
 
 // direct runs one check case against the in-process relation.
@@ -834,18 +587,11 @@ func servedBinary(client *http.Client, p *params, qc queryCase, limit int) ([]wi
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d, read err %v", resp.StatusCode, err)
 	}
-	ftype, body, err := wire.DecodeFrame(frame)
+	rsp, err := decodeWire(frame)
 	if err != nil {
 		return nil, err
 	}
-	if ftype != wire.FrameResponse {
-		return nil, fmt.Errorf("frame type %#x, want response", ftype)
-	}
-	var rsp wire.Response
-	if err := wire.DecodeResponse(body, &rsp); err != nil {
-		return nil, err
-	}
-	if rsp.Status != 0 && rsp.Status != http.StatusOK {
+	if rsp.Status != http.StatusOK {
 		return nil, fmt.Errorf("in-band status %d: %s", rsp.Status, rsp.Err)
 	}
 	if rsp.Count != len(rsp.Matches) {
@@ -881,41 +627,6 @@ func sameMatches(a, b []wire.Match) bool {
 		}
 	}
 	return true
-}
-
-// readDoc loads an existing benchmark document for -merge; any problem —
-// missing file, stale schema — degrades to starting fresh.
-func readDoc(path string) *benchDoc {
-	if path == "" {
-		return nil
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		fmt.Fprintf(os.Stderr, "ucatload: -merge: %s unreadable, starting fresh: %v\n", path, err)
-		return nil
-	}
-	return &doc
-}
-
-// writeDoc renders the benchmark document to path (and always to stdout as
-// a final summary line).
-func writeDoc(doc *benchDoc, path string) error {
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path != "" {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	return nil
 }
 
 // parseInts parses a comma-separated list of positive integers.

@@ -160,8 +160,8 @@ func (r *Relation) DecodeCache() *dcache.Cache { return r.cache }
 func (r *Relation) Kind() Kind { return r.opts.Kind }
 
 // indexPageCost is the GDSF re-materialization cost of an index page
-// relative to a heap page's 1. The ratio is a heuristic from the decode
-// profiles behind BENCH_cache.json: materializing a B+-tree/PDR-tree node
+// relative to a heap page's 1. The ratio is a heuristic from decode
+// profiles: materializing a B+-tree/PDR-tree node
 // (boundary vectors, fanout entries, probability tables) costs several times
 // a heap page's flat row decode. GDSF only needs the ordering to be roughly
 // right — index pages should outlive heap pages at equal recency — not the

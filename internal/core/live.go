@@ -145,6 +145,10 @@ type Live struct {
 	// validation. Entries are never removed — tuple ids are never reused —
 	// mirroring the tuplestore's tombstone set.
 	mods map[uint32]bool
+	// closed (under mu) stops new folds from starting; folds counts the ones
+	// running, so Close can wait them out (DURABILITY.md §6.1).
+	closed bool
+	folds  sync.WaitGroup
 }
 
 // OpenLive recovers (or starts) a live relation in opts.Dir per
@@ -363,12 +367,21 @@ func (lv *Live) Apply(ops []Op) ([]uint32, uint64, error) {
 // base in, writes a checkpoint file, and truncates the WAL (DURABILITY.md
 // §6). Queries keep running against the old state until the atomic swap; the
 // fold never blocks Apply except for the brief freeze step. Concurrent calls
-// coalesce: at most one fold runs, extra calls return immediately.
+// coalesce: at most one fold runs, extra calls return immediately. After
+// Close it returns wal.ErrClosed without touching the directory.
 func (lv *Live) Checkpoint() error {
 	if !lv.folding.CompareAndSwap(false, true) {
 		return nil
 	}
 	defer lv.folding.Store(false)
+	lv.mu.Lock()
+	if lv.closed {
+		lv.mu.Unlock()
+		return wal.ErrClosed
+	}
+	lv.folds.Add(1)
+	lv.mu.Unlock()
+	defer lv.folds.Done()
 
 	st := lv.state.Load()
 	var frozen *delta
@@ -527,9 +540,17 @@ func syncDirPath(dir string) error {
 	return err
 }
 
-// Close closes the WAL. Callers stop accepting writes first; queries against
-// the current state remain valid.
-func (lv *Live) Close() error { return lv.wal.Close() }
+// Close waits for a fold in flight to finish, then closes the WAL: once it
+// returns, nothing of the Live touches its directory (DURABILITY.md §6.1).
+// Callers stop accepting writes first; queries against the current state
+// remain valid.
+func (lv *Live) Close() error {
+	lv.mu.Lock()
+	lv.closed = true
+	lv.mu.Unlock()
+	lv.folds.Wait()
+	return lv.wal.Close()
+}
 
 // checkpointName renders the canonical checkpoint file name for a cut LSN.
 func checkpointName(lsn uint64) string {

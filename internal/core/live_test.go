@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ucat/internal/tuplestore"
 	"ucat/internal/uda"
@@ -476,4 +479,81 @@ func TestOnSwapCalled(t *testing.T) {
 	if v.Len() != v2.Len() {
 		t.Fatalf("old-anchor view Len %d != new-anchor %d", v.Len(), v2.Len())
 	}
+}
+
+// TestLiveCloseWaitsForFold pins DURABILITY.md §6.1: Apply crosses the
+// CheckpointEvery boundary, which spawns a background fold, and Close is
+// called at once — or, in the second variant, while the fold is provably
+// between its swap and its truncation. Either way, when Close returns the
+// fold is over: the directory listing is stable and .tmp-free, and OpenLive
+// on it reproduces the state.
+func TestLiveCloseWaitsForFold(t *testing.T) {
+	const every = 25
+	for _, midFold := range []bool{false, true} {
+		name := "immediately"
+		if midFold {
+			name = "mid-fold"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			inSwap := make(chan struct{})
+			lv, err := OpenLive(LiveOptions{
+				Dir: dir, WAL: fastWAL, CheckpointEvery: every,
+				RelOptions: &Options{Kind: InvertedIndex},
+				OnSwap: func(*Relation) {
+					close(inSwap)
+					time.Sleep(20 * time.Millisecond) // hold the fold open past Close's call
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := randomOps(t, lv, rand.New(rand.NewSource(9)), every)
+			if midFold {
+				<-inSwap
+			}
+			if err := lv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if lv.folding.Load() {
+				t.Fatal("Close returned with a fold still in flight")
+			}
+			if err := lv.Checkpoint(); !errors.Is(err, wal.ErrClosed) {
+				t.Fatalf("Checkpoint after Close = %v, want wal.ErrClosed", err)
+			}
+			before := listDir(t, dir)
+			time.Sleep(50 * time.Millisecond) // a straggler would show up here
+			if after := listDir(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("directory changed after Close returned:\n before %v\n after  %v", before, after)
+			}
+			for _, name := range before {
+				if strings.Contains(name, ".tmp") {
+					t.Fatalf("stray %s after Close", name)
+				}
+			}
+			lv2 := openTestLive(t, dir, InvertedIndex, 0)
+			defer lv2.Close()
+			if got := stateOf(t, lv2); !reflect.DeepEqual(got, want) {
+				t.Fatal("state after reopening a directory closed mid-fold diverged")
+			}
+		})
+	}
+}
+
+// listDir returns dir's entry names with sizes, sorted.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(ents))
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, fmt.Sprintf("%s:%d", e.Name(), info.Size()))
+	}
+	return names
 }

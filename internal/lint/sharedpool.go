@@ -1,16 +1,13 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-)
+import "go/ast"
 
 // SharedPoolCheck guards the serving layer's one-pool invariant (DESIGN.md
 // §18). Every fetch in internal/server must flow through the server's single
 // shared striped pool — constructed once with pager.NewSharedPool and handed
 // to requests as per-request pager.Sessions. A private view built with
-// pager.NewPool or pager.NewStripedPool inside the server silently
-// reintroduces the pre-refactor regime: the hot PDR-tree root and upper
+// pager.NewPool inside the server silently reintroduces the pre-refactor
+// regime: the hot PDR-tree root and upper
 // index pages get duplicated per view, the effective cache shrinks from
 // "total frames" back to "frames × views", and the shared-pool metrics on
 // /metrics stop describing the traffic. The code still compiles and still
@@ -23,21 +20,13 @@ import (
 func SharedPoolCheck() *Check {
 	return &Check{
 		Name: "sharedpool",
-		Doc:  "flag private pager.NewPool / NewStripedPool views inside internal/server; serving must share one pool",
+		Doc:  "flag private pager.NewPool views inside internal/server; serving must share one pool",
 		Run:  runSharedPool,
 	}
 }
 
 // serverPath is the import path of the serving layer the check applies to.
 const serverPath = "ucat/internal/server"
-
-// privateViewCtors are the pager constructors that build a private
-// single-owner pool. NewSharedPool is deliberately absent: it is the
-// sanctioned constructor.
-var privateViewCtors = map[string]bool{
-	"NewPool":        true,
-	"NewStripedPool": true,
-}
 
 func runSharedPool(pkg *Package) []Diagnostic {
 	if pkg.Path != serverPath {
@@ -55,14 +44,13 @@ func runSharedPool(pkg *Package) []Diagnostic {
 			}
 			fn := calleeFunc(pkg, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pagerPath ||
-				!privateViewCtors[fn.Name()] {
+				fn.Name() != "NewPool" { // NewSharedPool is the sanctioned constructor
 				return true
 			}
 			diags = append(diags, Diagnostic{
 				Pos:   pkg.Fset.Position(call.Pos()),
 				Check: "sharedpool",
-				Msg: fmt.Sprintf("server constructs a private pool view via pager.%s; serving must fetch through the one shared pool (pager.NewSharedPool + per-request Sessions, DESIGN.md §18)",
-					fn.Name()),
+				Msg:   "server constructs a private pool view via pager.NewPool; serving must fetch through the one shared pool (pager.NewSharedPool + per-request Sessions, DESIGN.md §18)",
 			})
 			return true
 		})

@@ -23,19 +23,6 @@ func build(store *pager.Store) *pager.Pool {
 			want: []string{"server constructs a private pool view via pager.NewPool"},
 		},
 		{
-			name: "NewStripedPool in server flagged",
-			path: "ucat/internal/server",
-			src: `package server
-
-import "ucat/internal/pager"
-
-func build(store *pager.Store) *pager.Pool {
-	return pager.NewStripedPool(store, 100, 4)
-}
-`,
-			want: []string{"server constructs a private pool view via pager.NewStripedPool"},
-		},
-		{
 			name: "NewSharedPool in server sanctioned",
 			path: "ucat/internal/server",
 			src: `package server

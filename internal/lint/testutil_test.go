@@ -49,8 +49,7 @@ type Policy int
 
 const CLOCK Policy = 0
 
-func NewPool(store *Store, nframes int) *Pool                 { return nil }
-func NewStripedPool(store *Store, nframes, nshards int) *Pool { return nil }
+func NewPool(store *Store, nframes int) *Pool { return nil }
 func NewSharedPool(store *Store, nframes, nshards int, policy Policy) *Pool {
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // BuildInfo is the process's build identity as /debug/build and ucatd's
-// /v1/version report it — enough to tie a BENCH_*.json run or a bug report
+// /v1/version report it — enough to tie a benchmark run or a bug report
 // back to an exact commit and toolchain from the server side.
 type BuildInfo struct {
 	// GoVersion is the toolchain that built the binary.

@@ -4,10 +4,10 @@ import "fmt"
 
 // Policy selects a Pool's replacement policy. The zero value is CLOCK, the
 // second-chance policy every figure in the paper's evaluation was measured
-// under; pools built with NewPool/NewStripedPool always use it, so the
-// experiment harness cannot drift. LRU and GDSF exist for the serving path's
-// shared pool (NewSharedPool), where the workload is a concurrent mix of
-// queries rather than the paper's one-query-one-pool discipline.
+// under; pools built with NewPool always use it, so the experiment harness
+// cannot drift. LRU and GDSF exist for the serving path's shared pool
+// (NewSharedPool), where the workload is a concurrent mix of queries rather
+// than the paper's one-query-one-pool discipline.
 type Policy int
 
 const (

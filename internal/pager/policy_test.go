@@ -67,12 +67,9 @@ func TestNewSharedPoolGeometryAndPolicy(t *testing.T) {
 	if p.Shards() != 4 || p.Frames() != 64 {
 		t.Errorf("geometry = %d stripes × %d frames, want 4 × 64", p.Shards(), p.Frames())
 	}
-	// NewPool/NewStripedPool must stay CLOCK: the figures depend on it.
-	if got := NewPool(store, 8).Policy(); got != CLOCK {
-		t.Errorf("NewPool policy = %v, want CLOCK", got)
-	}
-	if got := NewStripedPool(store, 8, 2).Policy(); got != CLOCK {
-		t.Errorf("NewStripedPool policy = %v, want CLOCK", got)
+	// NewPool must stay one stripe under CLOCK: the figures depend on it.
+	if fig := NewPool(store, 8); fig.Policy() != CLOCK || fig.Shards() != 1 {
+		t.Errorf("NewPool = %d stripes under %v, want 1 under CLOCK", fig.Shards(), fig.Policy())
 	}
 }
 

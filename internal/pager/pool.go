@@ -75,7 +75,7 @@ type frame struct {
 
 	// Replacement-policy metadata, maintained under the stripe lock on every
 	// admission and touch. CLOCK ignores all of it, so pools built by
-	// NewPool/NewStripedPool behave exactly as before these fields existed.
+	// NewPool behave exactly as before these fields existed.
 	stamp uint64  // stripe tick at last touch (LRU order; GDSF tie-break)
 	freq  uint64  // touches since admission (GDSF)
 	cost  float64 // re-materialization cost estimate at admission (GDSF)
@@ -107,7 +107,7 @@ type shard struct {
 // hashes to exactly one shard, which owns a fixed subset of the frames, its
 // own page table and its own clock hand. NewPool creates a single stripe,
 // which reproduces the paper's global-clock replacement exactly (the figure
-// harness depends on this); NewStripedPool spreads the frames over several
+// harness depends on this); NewSharedPool spreads the frames over several
 // stripes so concurrent access to distinct pages does not serialize on one
 // mutex. Stripe invariants:
 //
@@ -154,19 +154,27 @@ type Pool struct {
 	prefetches atomic.Uint64
 }
 
-// NewPool creates a pool with nframes frames (DefaultPoolFrames if
-// nframes <= 0) over the given store, as a single lock stripe: replacement
-// behaves exactly like one global clock, which keeps per-query I/O counts
-// identical to the paper's discipline.
+// NewPool creates the paper's pool: nframes frames (DefaultPoolFrames if
+// nframes <= 0) over the given store, as a single lock stripe under CLOCK.
+// Replacement behaves exactly like one global clock, which keeps per-query
+// I/O counts identical to the paper's discipline.
 func NewPool(store *Store, nframes int) *Pool {
-	return NewStripedPool(store, nframes, 1)
+	return NewSharedPool(store, nframes, 1, CLOCK)
 }
 
-// NewStripedPool creates a pool whose frames are spread over nshards lock
-// stripes (clamped to [1, nframes]). Use more than one stripe for pools
-// shared by concurrent readers and writers; use NewPool (one stripe) when
-// exact global-clock replacement matters more than lock contention.
-func NewStripedPool(store *Store, nframes, nshards int) *Pool {
+// NewSharedPool creates a pool whose nframes frames (DefaultPoolFrames if
+// nframes <= 0) are spread over nshards lock stripes (clamped to
+// [1, nframes]), with the given replacement policy. More than one stripe is
+// for pools shared by many concurrent requests — the serving layer's one big
+// hot-page cache. The policy is fixed for the pool's lifetime; for GDSF,
+// install a cost estimator with SetCostFunc before sharing the pool.
+//
+// A shared pool differs from the figures path's per-query pools only in
+// striping and policy: pin-safety and I/O accounting are identical.
+// Per-request I/O attribution over a shared pool uses Session views (see
+// Session), since a Stats() delta on the pool itself would interleave all
+// requests.
+func NewSharedPool(store *Store, nframes, nshards int, policy Policy) *Pool {
 	if nframes <= 0 {
 		nframes = DefaultPoolFrames
 	}
@@ -176,24 +184,8 @@ func NewStripedPool(store *Store, nframes, nshards int) *Pool {
 	if nshards > nframes {
 		nshards = nframes
 	}
-	p := &Pool{store: store, shards: make([]shard, nshards), nframes: nframes}
+	p := &Pool{store: store, shards: make([]shard, nshards), nframes: nframes, policy: policy}
 	p.initShards()
-	return p
-}
-
-// NewSharedPool creates a pool meant to be shared by many concurrent
-// requests — the serving layer's one big hot-page cache — with the given
-// replacement policy. Frame count and stripe count are clamped exactly as in
-// NewStripedPool. The policy is fixed for the pool's lifetime; for GDSF,
-// install a cost estimator with SetCostFunc before sharing the pool.
-//
-// A shared pool differs from the figures path's per-query pools only in
-// policy: pin-safety, striping and I/O accounting are identical. Per-request
-// I/O attribution over a shared pool uses Session views (see Session), since
-// a Stats() delta on the pool itself would interleave all requests.
-func NewSharedPool(store *Store, nframes, nshards int, policy Policy) *Pool {
-	p := NewStripedPool(store, nframes, nshards)
-	p.policy = policy
 	return p
 }
 

@@ -2,9 +2,11 @@ package pager
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSharedPoolPinSafetyUnderContention hammers an undersized shared pool
@@ -16,12 +18,21 @@ import (
 // private Session. Afterwards the session tallies must sum exactly to the
 // pool's Stats delta, and every pin must be balanced. Run with -race: the
 // detector turns any unlocked frame recycling into a hard failure.
+//
+// Eight readers holding up to two pins each can outnumber a stripe's six
+// frames, so either pin may legitimately meet ErrPoolExhausted. The second
+// pin gives up (its holder still has the first, so waiting could deadlock);
+// the first is retried, holding nothing, until the other readers release —
+// but only for firstPinWait, and every reader must complete every iteration,
+// so a pool that refuses every pin fails instead of passing idle.
 func TestSharedPoolPinSafetyUnderContention(t *testing.T) {
 	const (
 		numPages = 64
 		frames   = 12 // far fewer frames than pages: constant eviction
 		stripes  = 2
 		readers  = 8
+
+		firstPinWait = 10 * time.Second
 	)
 	iters := 400
 	if testing.Short() {
@@ -57,8 +68,12 @@ func TestSharedPoolPinSafetyUnderContention(t *testing.T) {
 							pid = pids[rng.Intn(numPages)]
 						}
 						pg, err := sess.Fetch(pid)
+						for t0 := time.Now(); errors.Is(err, ErrPoolExhausted) && time.Since(t0) < firstPinWait; {
+							time.Sleep(20 * time.Microsecond) // let the pin holders finish their iteration
+							pg, err = sess.Fetch(pid)
+						}
 						if err != nil {
-							errCh <- err
+							errCh <- fmt.Errorf("reader %d completed %d of %d iterations: %w", r, i, iters, err)
 							return
 						}
 						checkStamp(t, pid, pg.Data)

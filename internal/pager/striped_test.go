@@ -8,7 +8,7 @@ import (
 // TestStripedPoolShardMapping: shard geometry and the fixed pid→shard map.
 func TestStripedPoolShardMapping(t *testing.T) {
 	store := NewStore()
-	pool := NewStripedPool(store, 64, 8)
+	pool := NewSharedPool(store, 64, 8, CLOCK)
 	if got := pool.Shards(); got != 8 {
 		t.Fatalf("Shards() = %d, want 8", got)
 	}
@@ -23,10 +23,10 @@ func TestStripedPoolShardMapping(t *testing.T) {
 	}
 	// Clamping: more stripes than frames collapses to one stripe per frame;
 	// non-positive stripe counts mean one stripe.
-	if got := NewStripedPool(store, 4, 99).Shards(); got != 4 {
+	if got := NewSharedPool(store, 4, 99, CLOCK).Shards(); got != 4 {
 		t.Errorf("clamped Shards() = %d, want 4", got)
 	}
-	if got := NewStripedPool(store, 4, 0).Shards(); got != 1 {
+	if got := NewSharedPool(store, 4, 0, CLOCK).Shards(); got != 1 {
 		t.Errorf("zero-stripe Shards() = %d, want 1", got)
 	}
 	// Every frame must land in some shard (sum of shard sizes = nframes).
@@ -43,7 +43,7 @@ func TestStripedPoolShardMapping(t *testing.T) {
 // (clamped to the new frame count) and leaves a fully usable pool.
 func TestStripedPoolResizePreservesStripes(t *testing.T) {
 	store := NewStore()
-	pool := NewStripedPool(store, 64, 8)
+	pool := NewSharedPool(store, 64, 8, CLOCK)
 	if err := pool.Resize(16); err != nil {
 		t.Fatalf("Resize: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestStripedPoolResizePreservesStripes(t *testing.T) {
 // pool. Run with -race.
 func TestStripedPoolConcurrentFetch(t *testing.T) {
 	store := NewStore()
-	pool := NewStripedPool(store, 64, 8)
+	pool := NewSharedPool(store, 64, 8, CLOCK)
 
 	const numPages = 256
 	pids := make([]PageID, numPages)
@@ -129,7 +129,7 @@ func TestStripedPoolConcurrentFetch(t *testing.T) {
 // across goroutines on a striped pool, each goroutine owning its pages.
 func TestStripedPoolConcurrentMixed(t *testing.T) {
 	store := NewStore()
-	pool := NewStripedPool(store, 64, 8)
+	pool := NewSharedPool(store, 64, 8, CLOCK)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -136,7 +136,7 @@ func TestPrefetchInvalidPage(t *testing.T) {
 // so the pool (contents, stats, clock state) is untouched on failure.
 func TestResizePinnedFails(t *testing.T) {
 	s := NewStore()
-	p := NewStripedPool(s, 8, 4)
+	p := NewSharedPool(s, 8, 4, CLOCK)
 	// Populate several shards, keep one page pinned.
 	var pinned *Page
 	for i := 0; i < 6; i++ {

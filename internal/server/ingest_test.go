@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ucat/internal/core"
 	"ucat/internal/obs"
@@ -19,9 +20,15 @@ import (
 // wal crash tests).
 func newLiveServer(t *testing.T, every int) (*Server, *httptest.Server, *core.Live) {
 	t.Helper()
+	return newLiveServerWAL(t, every, wal.Options{Fsync: wal.FsyncNever, GroupWindow: -1})
+}
+
+// newLiveServerWAL is newLiveServer with the log's options chosen by the test.
+func newLiveServerWAL(t *testing.T, every int, walOpts wal.Options) (*Server, *httptest.Server, *core.Live) {
+	t.Helper()
 	lv, err := core.OpenLive(core.LiveOptions{
 		Dir:             t.TempDir(),
-		WAL:             wal.Options{Fsync: wal.FsyncNever, GroupWindow: -1},
+		WAL:             walOpts,
 		CheckpointEvery: every,
 		RelOptions:      &core.Options{Kind: core.InvertedIndex, PoolFrames: 256},
 	})
@@ -180,8 +187,48 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 	if st.Ingest.WAL.DurableLSN != uint64(writers*perWriter) {
 		t.Fatalf("durable LSN %d, want %d", st.Ingest.WAL.DurableLSN, writers*perWriter)
 	}
+	// A background fold publishes the new live base an instant before OnSwap
+	// re-anchors the serving epoch at it; wait out a fold caught in between.
+	for deadline := time.Now().Add(5 * time.Second); s.epoch.Load().rel != lv.Base() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if s.epoch.Load().rel != lv.Base() {
 		t.Fatal("serving epoch not anchored at the live base after folds")
+	}
+}
+
+// TestIngestStatsAccountFsyncs: with real group-commit fsyncs under
+// concurrent writers, the /v1/stats ingest section counts them — at least
+// one, never more than one per acked operation (each barrier advances the
+// durable LSN), never more than the Sync calls that asked for one.
+func TestIngestStatsAccountFsyncs(t *testing.T) {
+	_, ts, _ := newLiveServerWAL(t, 0, wal.Options{Fsync: wal.FsyncGroup, GroupWindow: -1})
+	const writers, perWriter = 4, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				status, ir := postIngest(t, ts, `{"ops": [{"op": "insert", "dist": "1:0.6,2:0.4"}]}`)
+				if status != http.StatusOK || !ir.Durable {
+					t.Errorf("writer %d op %d: status %d durable %v err %q", w, i, status, ir.Durable, ir.Error)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := fetchStats(t, ts)
+	if st.Ingest == nil {
+		t.Fatal("no ingest section on a live server")
+	}
+	wl := st.Ingest.WAL
+	if wl.DurableLSN != writers*perWriter {
+		t.Fatalf("durable LSN %d, want %d", wl.DurableLSN, writers*perWriter)
+	}
+	if wl.Fsyncs == 0 || wl.Fsyncs > wl.DurableLSN || wl.Fsyncs > wl.SyncCalls {
+		t.Fatalf("fsync accounting: %d fsyncs for %d durable ops over %d Sync calls", wl.Fsyncs, wl.DurableLSN, wl.SyncCalls)
 	}
 }
 

@@ -111,8 +111,8 @@ type Config struct {
 
 	// PoolPolicy selects the shared pool's eviction policy: "clock" (the
 	// paper's second chance), "lru" (strict LRU), or "gdsf" (greedy-dual
-	// size-frequency, weighting frames by decode cost — see DESIGN.md §18
-	// and BENCH_pool.json for the comparison). "" means clock.
+	// size-frequency, weighting frames by decode cost — see DESIGN.md
+	// §18). "" means clock.
 	PoolPolicy string
 
 	// DefaultTimeout bounds requests that carry no timeout_ms of their own.

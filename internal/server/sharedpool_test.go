@@ -15,69 +15,80 @@ import (
 )
 
 // TestSharedPoolContentionDeterminism is the shared-pool smoke CI runs under
-// -race (make bench-smoke): for every eviction policy, a server with two
-// stripes and a deliberately undersized shared pool — so victim scans run
-// constantly while concurrent requests hold pins — must answer concurrent
-// PETQ probes bit-identically to direct relation execution, with the
-// micro-batcher on to maximize interleaving.
+// -race (make bench-smoke): for every eviction policy × pool geometry — one
+// stripe and several, deliberately undersized frames (so victim scans run
+// constantly while concurrent requests hold pins) and roomier ones — the
+// server must answer concurrent PETQ probes bit-identically to direct
+// relation execution, with the micro-batcher on to maximize interleaving.
 func TestSharedPoolContentionDeterminism(t *testing.T) {
 	queries := []string{"0:1.0", "3:0.7,4:0.3", "1:0.25,2:0.25,3:0.5", "7:0.9,0:0.1", "5:0.5,6:0.5"}
+	geometries := []struct{ stripes, frames int }{{2, 24}, {1, 24}, {4, 64}}
 	for _, pol := range pager.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			rel := buildRelation(t, core.PDRTree, 400)
-
-			// Direct answers first, through the relation's own pool, before
-			// the server touches anything.
-			want := make(map[string][]core.Match, len(queries))
-			for _, qs := range queries {
-				m, err := rel.PETQ(mustUDA(t, qs), 0.2)
-				if err != nil {
-					t.Fatalf("direct PETQ(%s): %v", qs, err)
-				}
-				want[qs] = m
+			for _, g := range geometries {
+				t.Run(fmt.Sprintf("%dx%d", g.stripes, g.frames), func(t *testing.T) {
+					sharedPoolAnswersMatchDirect(t, queries, Config{
+						Workers:     4,
+						PoolFrames:  g.frames, // the relation spans far more pages
+						PoolStripes: g.stripes,
+						PoolPolicy:  pol.String(),
+						BatchWindow: 200 * time.Microsecond,
+					})
+				})
 			}
-
-			_, ts := newTestServer(t, Config{
-				Relation:    rel,
-				Workers:     4,
-				PoolFrames:  24, // undersized: the relation spans far more pages
-				PoolStripes: 2,
-				PoolPolicy:  pol.String(),
-				BatchWindow: 200 * time.Microsecond,
-			})
-
-			const rounds = 8
-			var wg sync.WaitGroup
-			for r := 0; r < rounds; r++ {
-				for _, qs := range queries {
-					wg.Add(1)
-					go func(qs string) {
-						defer wg.Done()
-						status, qr := postQuery(t, ts,
-							fmt.Sprintf(`{"kind":"petq","query":"%s","tau":0.2,"limit":100000}`, qs))
-						if status != http.StatusOK {
-							t.Errorf("query %s: status %d", qs, status)
-							return
-						}
-						w := want[qs]
-						if qr.Count != len(w) || len(qr.Matches) != len(w) {
-							t.Errorf("query %s: served %d/%d answers, direct %d",
-								qs, qr.Count, len(qr.Matches), len(w))
-							return
-						}
-						for j, m := range qr.Matches {
-							if m.TID != w[j].TID || m.Prob != w[j].Prob {
-								t.Errorf("query %s answer %d differs: served %v direct %v",
-									qs, j, m, w[j])
-								return
-							}
-						}
-					}(qs)
-				}
-			}
-			wg.Wait()
 		})
 	}
+}
+
+// sharedPoolAnswersMatchDirect serves a fresh relation under cfg and checks
+// concurrent PETQ answers against direct execution, bit for bit.
+func sharedPoolAnswersMatchDirect(t *testing.T, queries []string, cfg Config) {
+	rel := buildRelation(t, core.PDRTree, 400)
+
+	// Direct answers first, through the relation's own pool, before the
+	// server touches anything.
+	want := make(map[string][]core.Match, len(queries))
+	for _, qs := range queries {
+		m, err := rel.PETQ(mustUDA(t, qs), 0.2)
+		if err != nil {
+			t.Fatalf("direct PETQ(%s): %v", qs, err)
+		}
+		want[qs] = m
+	}
+
+	cfg.Relation = rel
+	_, ts := newTestServer(t, cfg)
+
+	const rounds = 8
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for _, qs := range queries {
+			wg.Add(1)
+			go func(qs string) {
+				defer wg.Done()
+				status, qr := postQuery(t, ts,
+					fmt.Sprintf(`{"kind":"petq","query":"%s","tau":0.2,"limit":100000}`, qs))
+				if status != http.StatusOK {
+					t.Errorf("query %s: status %d", qs, status)
+					return
+				}
+				w := want[qs]
+				if qr.Count != len(w) || len(qr.Matches) != len(w) {
+					t.Errorf("query %s: served %d/%d answers, direct %d",
+						qs, qr.Count, len(qr.Matches), len(w))
+					return
+				}
+				for j, m := range qr.Matches {
+					if m.TID != w[j].TID || m.Prob != w[j].Prob {
+						t.Errorf("query %s answer %d differs: served %v direct %v",
+							qs, j, m, w[j])
+						return
+					}
+				}
+			}(qs)
+		}
+	}
+	wg.Wait()
 }
 
 // TestStatsPoolSection asserts /v1/stats carries the shared-pool health
