@@ -2,26 +2,16 @@
 // the properties the paper's evaluation depends on: probability comparisons
 // go through epsilon helpers, every page access flows through the counted
 // buffer pool, release errors are observed, experiments use seeded
-// randomness, and buffer-pool pins are balanced. The interprocedural checks
-// (lockorder, ctxflow, hotalloc, atomicmix) additionally analyze the whole
-// module's call graph (see DESIGN.md §17).
+// randomness, and buffer-pool pins are balanced (DESIGN.md §12).
 //
 // Usage:
 //
-//	ucatlint [-checks floatcmp,ioaccount,...] [-format text|json]
-//	         [-baseline file [-writebaseline]] [packages]
+//	ucatlint [-checks floatcmp,ioaccount,...] [packages]
 //
 // Packages are directory patterns relative to the module root ("./...",
 // "./internal/uda", "./cmd/..."); the default is "./...". Exit status is 0
-// when no new error-severity findings were reported, 1 when some were, and
-// 2 on usage or load errors. Warn-severity findings are printed but never
-// affect the exit status.
-//
-// With -baseline, findings recorded in the given file are filtered out and
-// only new findings are reported — this is how a new check lands before the
-// tree is clean. -writebaseline records the current findings into the file
-// and exits. Stale baseline entries (whose finding no longer occurs) are
-// reported on stderr so the file shrinks over time.
+// when nothing was reported, 1 when something was, and 2 on usage or load
+// errors.
 //
 // Findings that are intentional can be suppressed with a comment on the
 // offending line or the line above:
@@ -46,11 +36,8 @@ func run(args []string) int {
 	fs.SetOutput(os.Stderr)
 	checksFlag := fs.String("checks", "all", "comma-separated checks to run (default: all)")
 	listFlag := fs.Bool("list", false, "list available checks and exit")
-	formatFlag := fs.String("format", "text", "output format: text or json")
-	baselineFlag := fs.String("baseline", "", "baseline file of accepted findings; only new findings are reported")
-	writeBaseline := fs.Bool("writebaseline", false, "write the current findings to the -baseline file and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ucatlint [-checks names] [-list] [-format text|json] [-baseline file [-writebaseline]] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: ucatlint [-checks names] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,35 +45,14 @@ func run(args []string) int {
 	}
 	if *listFlag {
 		for _, c := range lint.AllChecks() {
-			sev := c.Severity
-			if sev == "" {
-				sev = lint.SeverityError
-			}
-			fmt.Printf("%-12s %-5s  %s\n", c.Name, sev, c.Doc)
+			fmt.Printf("%-12s  %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *formatFlag != "text" && *formatFlag != "json" {
-		fmt.Fprintf(os.Stderr, "ucatlint: unknown format %q (want text or json)\n", *formatFlag)
-		return 2
-	}
-	if *writeBaseline && *baselineFlag == "" {
-		fmt.Fprintln(os.Stderr, "ucatlint: -writebaseline requires -baseline")
-		return 2
 	}
 	checks, err := lint.SelectChecks(*checksFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ucatlint:", err)
 		return 2
-	}
-	// Load the baseline before the (slow) package load so a typo'd path
-	// fails immediately.
-	var base *lint.Baseline
-	if *baselineFlag != "" && !*writeBaseline {
-		if base, err = lint.LoadBaseline(*baselineFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "ucatlint:", err)
-			return 2
-		}
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -105,48 +71,11 @@ func run(args []string) int {
 		return 2
 	}
 	diags := lint.Run(pkgs, checks)
-
-	if *writeBaseline {
-		if err := lint.NewBaseline(diags, root).Save(*baselineFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "ucatlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "ucatlint: wrote %d finding(s) to %s\n", len(diags), *baselineFlag)
-		return 0
-	}
-	if base != nil {
-		var matched, stale int
-		diags, matched, stale = base.Filter(diags, root)
-		if matched > 0 {
-			fmt.Fprintf(os.Stderr, "ucatlint: %d finding(s) matched the baseline\n", matched)
-		}
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "ucatlint: %d stale baseline entr(ies) no longer match anything; prune %s\n", stale, *baselineFlag)
-		}
-	}
-
-	if *formatFlag == "json" {
-		if err := lint.WriteJSON(os.Stdout, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "ucatlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	errors, warns := 0, 0
 	for _, d := range diags {
-		if d.Severity == lint.SeverityWarn {
-			warns++
-		} else {
-			errors++
-		}
+		fmt.Println(d)
 	}
-	if errors > 0 || warns > 0 {
-		fmt.Fprintf(os.Stderr, "ucatlint: %d error(s), %d warning(s) in %d package(s)\n", errors, warns, len(pkgs))
-	}
-	if errors > 0 {
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "ucatlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0

@@ -24,15 +24,6 @@ func TestRunBadFlagsExitTwo(t *testing.T) {
 	if got := run([]string{"./no/such/package"}); got != 2 {
 		t.Errorf("run with missing package = %d, want 2", got)
 	}
-	if got := run([]string{"-format", "xml"}); got != 2 {
-		t.Errorf("run with unknown format = %d, want 2", got)
-	}
-	if got := run([]string{"-writebaseline"}); got != 2 {
-		t.Errorf("run with -writebaseline but no -baseline = %d, want 2", got)
-	}
-	if got := run([]string{"-baseline", "/no/such/baseline.json", "./internal/lint"}); got != 2 {
-		t.Errorf("run with missing baseline file = %d, want 2", got)
-	}
 }
 
 func TestRunCleanAndViolatingPackages(t *testing.T) {
@@ -65,27 +56,5 @@ func TestRunCleanAndViolatingPackages(t *testing.T) {
 	}
 	if got := run([]string{"./" + filepath.Base(dir)}); got != 1 {
 		t.Errorf("run on synthetic floatcmp violation = %d, want 1", got)
-	}
-
-	// JSON output keeps the exit semantics.
-	if got := run([]string{"-format", "json", "./" + filepath.Base(dir)}); got != 1 {
-		t.Errorf("run -format json on violation = %d, want 1", got)
-	}
-
-	// The baseline workflow: record the finding, then a baselined run is
-	// clean; deleting the entry resurfaces it.
-	basePath := filepath.Join(dir, "baseline.json")
-	if got := run([]string{"-baseline", basePath, "-writebaseline", "./" + filepath.Base(dir)}); got != 0 {
-		t.Fatalf("run -writebaseline = %d, want 0", got)
-	}
-	if got := run([]string{"-baseline", basePath, "./" + filepath.Base(dir)}); got != 0 {
-		t.Errorf("run with recorded baseline = %d, want 0", got)
-	}
-	empty := lint.Baseline{}
-	if err := empty.Save(basePath); err != nil {
-		t.Fatal(err)
-	}
-	if got := run([]string{"-baseline", basePath, "./" + filepath.Base(dir)}); got != 1 {
-		t.Errorf("run with emptied baseline = %d, want 1", got)
 	}
 }

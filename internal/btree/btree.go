@@ -267,8 +267,6 @@ func (t *Tree) Contains(k Key) (bool, error) { return t.ContainsVia(t.pool, k) }
 // ContainsVia is Contains with every page fetch routed through the given
 // view, so concurrent read-only lookups can each use a private buffer pool
 // over the shared store.
-//
-//ucatlint:hotpath
 func (t *Tree) ContainsVia(v pager.View, k Key) (bool, error) {
 	pid := t.root
 	for {
@@ -590,8 +588,6 @@ func (t *Tree) Scan(start Key, fn func(Key) bool) error {
 // ScanVia is Scan with every page fetch routed through the given view, so
 // concurrent read-only scans can each use a private buffer pool over the
 // shared store.
-//
-//ucatlint:hotpath
 func (t *Tree) ScanVia(v pager.View, start Key, fn func(Key) bool) error {
 	rec := obs.RecorderOf(v)
 	// Descend to the leaf containing start.

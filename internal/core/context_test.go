@@ -8,11 +8,12 @@ import (
 
 	"ucat/internal/pager"
 	"ucat/internal/uda"
+	"ucat/internal/wal"
 )
 
-// buildCtxRelation fills a relation with enough tuples to span many heap
-// pages, flushes it, and returns a fresh read view over the shared store.
-func buildCtxRelation(t *testing.T, kind Kind) (*Relation, *pager.Pool) {
+// buildCtxRelation fills a relation with n tuples (4000 span many heap
+// pages), flushes it, and returns a fresh read view over the shared store.
+func buildCtxRelation(t *testing.T, kind Kind, n int) (*Relation, *pager.Pool) {
 	t.Helper()
 	rel, err := NewRelation(Options{Kind: kind, PoolFrames: 256})
 	if err != nil {
@@ -21,7 +22,7 @@ func buildCtxRelation(t *testing.T, kind Kind) (*Relation, *pager.Pool) {
 	// A small domain over many tuples gives long inverted lists and broad
 	// PDR-tree subtrees, so a low-tau PETQ touches many pages under every
 	// access method.
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < n; i++ {
 		u := uda.MustNew(
 			uda.Pair{Item: uint32(i % 8), Prob: 0.6},
 			uda.Pair{Item: uint32(i%8) + 1, Prob: 0.4},
@@ -53,24 +54,65 @@ func (cv *countingView) Fetch(pid pager.PageID) (*pager.Page, error) {
 	return cv.v.Fetch(pid)
 }
 
+// assertDoneContextReadsNothing runs all six query kinds under a context that
+// is already done — on a frozen Reader and on a LiveView bound over it with a
+// non-empty overlay, for every access method — and requires each to fail with
+// want before a single page leaves the store. This is the run-time statement
+// of "the request context reaches every fetch".
+func assertDoneContextReadsNothing(t *testing.T, ctx context.Context, want error) {
+	q := uda.MustNew(uda.Pair{Item: 3, Prob: 1})
+	for _, kind := range []Kind{ScanOnly, InvertedIndex, PDRTree} {
+		rel, view := buildCtxRelation(t, kind, 500)
+		lv, err := OpenLive(LiveOptions{Dir: t.TempDir(), WAL: fastWAL, Origin: rel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lv.Close()
+		if _, _, err := lv.Apply([]Op{{Kind: wal.TypeInsert, U: q}}); err != nil {
+			t.Fatal(err)
+		}
+		lview := lv.View()
+		if lview.Base() != rel || lview.OverlayLen() == 0 {
+			t.Fatalf("live view: base %p (want %p), overlay %d (want > 0)", lview.Base(), rel, lview.OverlayLen())
+		}
+		rd := rel.Reader(view).WithContext(ctx)
+		for _, eng := range []struct {
+			name string
+			QueryEngine
+		}{{"Reader", rd}, {"LiveView", lview.Bind(rd)}} {
+			for _, qk := range []struct {
+				name string
+				run  func() error
+			}{
+				{"PETQ", func() error { _, err := eng.PETQ(q, 0.1); return err }},
+				{"TopK", func() error { _, err := eng.TopK(q, 5); return err }},
+				{"WindowPETQ", func() error { _, err := eng.WindowPETQ(q, 1, 0.1); return err }},
+				{"WindowTopK", func() error { _, err := eng.WindowTopK(q, 1, 5); return err }},
+				{"DSTQ", func() error { _, err := eng.DSTQ(q, 1, uda.L1); return err }},
+				{"DSTopK", func() error { _, err := eng.DSTopK(q, 5, uda.L1); return err }},
+			} {
+				name := kind.String() + "/" + eng.name + "/" + qk.name
+				if err := qk.run(); !errors.Is(err, want) {
+					t.Errorf("%s: err = %v, want %v", name, err, want)
+				}
+				if st := view.Stats(); st.Reads != 0 {
+					t.Fatalf("%s: read %d pages from the store", name, st.Reads)
+				}
+			}
+		}
+	}
+}
+
 func TestCancelledContextFailsBeforeAnyFetch(t *testing.T) {
-	rel, view := buildCtxRelation(t, ScanOnly)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	q := uda.MustNew(uda.Pair{Item: 3, Prob: 1})
-	_, err := rel.Reader(view).WithContext(ctx).PETQ(q, 0.1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("PETQ with cancelled context: err = %v, want context.Canceled", err)
-	}
-	if st := view.Stats(); st.Reads != 0 {
-		t.Fatalf("cancelled query still read %d pages from the store", st.Reads)
-	}
+	assertDoneContextReadsNothing(t, ctx, context.Canceled)
 }
 
 func TestCancelMidScanStopsEarly(t *testing.T) {
 	for _, kind := range []Kind{ScanOnly, InvertedIndex, PDRTree} {
 		t.Run(kind.String(), func(t *testing.T) {
-			rel, view := buildCtxRelation(t, kind)
+			rel, view := buildCtxRelation(t, kind, 4000)
 
 			// Full-scan baseline: how many fetches does the query cost?
 			q := uda.MustNew(uda.Pair{Item: 3, Prob: 1})
@@ -99,18 +141,13 @@ func TestCancelMidScanStopsEarly(t *testing.T) {
 }
 
 func TestDeadlineExceededSurfaces(t *testing.T) {
-	rel, view := buildCtxRelation(t, ScanOnly)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	q := uda.MustNew(uda.Pair{Item: 3, Prob: 1})
-	_, err := rel.Reader(view).WithContext(ctx).PETQ(q, 0.1)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PETQ past deadline: err = %v, want context.DeadlineExceeded", err)
-	}
+	assertDoneContextReadsNothing(t, ctx, context.DeadlineExceeded)
 }
 
 func TestWithContextBackgroundIsIdentity(t *testing.T) {
-	rel, view := buildCtxRelation(t, ScanOnly)
+	rel, view := buildCtxRelation(t, ScanOnly, 100)
 	rd := rel.Reader(view)
 	if got := rd.WithContext(context.Background()); got != rd {
 		t.Fatalf("WithContext(Background) returned a new Reader; want the same one")

@@ -373,15 +373,19 @@ func (lv *Live) Checkpoint() error {
 	if !lv.folding.CompareAndSwap(false, true) {
 		return nil
 	}
-	defer lv.folding.Store(false)
 	lv.mu.Lock()
 	if lv.closed {
 		lv.mu.Unlock()
+		lv.folding.Store(false)
 		return wal.ErrClosed
 	}
 	lv.folds.Add(1)
 	lv.mu.Unlock()
+	// In this order: once Close's Wait returns, folding must already read
+	// false, or a Checkpoint right after Close would coalesce (nil) instead
+	// of reporting wal.ErrClosed.
 	defer lv.folds.Done()
+	defer lv.folding.Store(false)
 
 	st := lv.state.Load()
 	var frozen *delta

@@ -269,6 +269,62 @@ func TestLiveRecoverTwiceIdentical(t *testing.T) {
 	}
 }
 
+// TestLiveRecoverAfterTornTail: a crash that tears the last WAL frame must
+// cost that one unacknowledged operation and nothing else — recovery cuts the
+// torn bytes off (DURABILITY.md §7 step 3), so the restart after the next
+// write still boots and answers like a log that was never torn.
+func TestLiveRecoverAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	lv := openTestLive(t, dir, InvertedIndex, 0)
+	rng := rand.New(rand.NewSource(17))
+	randomOps(t, lv, rng, 60)
+	want := stateOf(t, lv)
+	if _, _, err := lv.Apply([]Op{{Kind: wal.TypeInsert, U: randUDA(rng, 30)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v; want exactly one", segs, err)
+	}
+	st, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	reopen := func() *Live {
+		l, err := OpenLive(LiveOptions{Dir: dir, WAL: fastWAL, RelOptions: &Options{Kind: InvertedIndex}})
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		return l
+	}
+	lv = reopen()
+	if got := stateOf(t, lv); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d tuples, want the %d of the surviving prefix", len(got), len(want))
+	}
+	u := randUDA(rng, 30)
+	tids, _, err := lv.Apply([]Op{{Kind: wal.TypeInsert, U: u}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[tids[0]] = u
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lv = reopen()
+	defer lv.Close()
+	if got := stateOf(t, lv); !reflect.DeepEqual(got, want) {
+		t.Fatal("second recovery differs from the surviving prefix plus the new write")
+	}
+	assertViewMatches(t, lv.View(), rebuild(t, InvertedIndex, want), rng)
+}
+
 // TestLiveValidation: updates/deletes of unknown ids fail without consuming
 // LSNs or ids; failed batches are atomic.
 func TestLiveValidation(t *testing.T) {
@@ -374,9 +430,14 @@ func TestLiveConcurrentWritesAndReads(t *testing.T) {
 					op = Op{Kind: wal.TypeDelete, TID: mine[j]}
 					mine = append(mine[:j], mine[j+1:]...)
 				}
-				tids, _, err := lv.Apply([]Op{op})
+				tids, lsn, err := lv.Apply([]Op{op})
 				if err != nil {
 					t.Errorf("writer: %v", err)
+					return
+				}
+				// Ack implies durable, at the only production Append caller.
+				if d := lv.WAL().DurableLSN(); d < lsn {
+					t.Errorf("Apply acked LSN %d but the log is durable only to %d", lsn, d)
 					return
 				}
 				if op.Kind == wal.TypeInsert {

@@ -56,8 +56,6 @@ func (rd *Reader) Get(tid uint32) (uda.UDA, error) {
 // PETQ answers the probabilistic equality threshold query (Definition 4):
 // all tuples t with Pr(q = t) > tau, with exact probabilities, in descending
 // probability order.
-//
-//ucatlint:hotpath
 func (rd *Reader) PETQ(q uda.UDA, tau float64) ([]Match, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("core: negative threshold %g", tau)
@@ -78,8 +76,6 @@ func (rd *Reader) PEQ(q uda.UDA) ([]Match, error) { return rd.PETQ(q, 0) }
 
 // TopK answers PETQ-top-k: the k tuples with the highest equality
 // probability (ties at the kth position broken arbitrarily).
-//
-//ucatlint:hotpath
 func (rd *Reader) TopK(q uda.UDA, k int) ([]Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: non-positive k %d", k)
@@ -134,8 +130,6 @@ func (rd *Reader) scanTopK(q uda.UDA, k int) ([]Match, error) {
 // domains (§2 of the paper): all tuples t with Pr(|q − t.a| ≤ c) > tau,
 // treating item codes as positions on a total order. WindowPETQ(q, 0, tau)
 // is plain PETQ.
-//
-//ucatlint:hotpath
 func (rd *Reader) WindowPETQ(q uda.UDA, c uint32, tau float64) ([]Match, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("core: negative threshold %g", tau)
@@ -163,8 +157,6 @@ func (rd *Reader) WindowPETQ(q uda.UDA, c uint32, tau float64) ([]Match, error) 
 
 // WindowTopK returns the k tuples with the highest window-equality
 // probability Pr(|q − t.a| ≤ c).
-//
-//ucatlint:hotpath
 func (rd *Reader) WindowTopK(q uda.UDA, c uint32, k int) ([]Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: non-positive k %d", k)
@@ -191,8 +183,6 @@ func (rd *Reader) WindowTopK(q uda.UDA, c uint32, k int) ([]Match, error) {
 // all tuples whose distance from q under div is at most td, ascending by
 // distance. The PDR-tree prunes subtrees for the metric divergences (L1,
 // L2); other access methods scan.
-//
-//ucatlint:hotpath
 func (rd *Reader) DSTQ(q uda.UDA, td float64, div uda.Divergence) ([]Neighbor, error) {
 	if td < 0 {
 		return nil, fmt.Errorf("core: negative distance threshold %g", td)
@@ -215,8 +205,6 @@ func (rd *Reader) DSTQ(q uda.UDA, td float64, div uda.Divergence) ([]Neighbor, e
 }
 
 // DSTopK answers DSQ-top-k: the k tuples distributionally closest to q.
-//
-//ucatlint:hotpath
 func (rd *Reader) DSTopK(q uda.UDA, k int, div uda.Divergence) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: non-positive k %d", k)

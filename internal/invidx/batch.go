@@ -21,8 +21,6 @@ import (
 // taus holds one threshold per query (all must be non-negative). The result
 // has one match slice per query, each in canonical descending-probability
 // order with exact probabilities.
-//
-//ucatlint:hotpath
 func (ix *Index) MultiPETQ(qs []uda.UDA, taus []float64) ([][]query.Match, error) {
 	if len(qs) != len(taus) {
 		return nil, fmt.Errorf("invidx: %d queries with %d thresholds", len(qs), len(taus))
@@ -79,7 +77,6 @@ func (ix *Index) MultiPETQ(qs []uda.UDA, taus []float64) ([][]query.Match, error
 		if !ok {
 			continue
 		}
-		//ucatlint:ignore hotalloc one callback per posting list (not per entry); the closure is what lets one scan serve many queries
 		err := tree.Scan(btree.Key{}, func(k btree.Key) bool {
 			prob, tid := unpackKey(k)
 			for _, in := range interested {

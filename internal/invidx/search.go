@@ -75,8 +75,6 @@ var Strategies = []Strategy{BruteForce, HighestProbFirst, RowPruning, ColumnPrun
 // all tuples t with Pr(q = t) > tau, with their exact probabilities, in
 // descending probability order. tau must be non-negative; PETQ(q, 0) is the
 // plain probabilistic equality query PEQ (Definition 3).
-//
-//ucatlint:hotpath
 func (r *Reader) PETQ(q uda.UDA, tau float64, s Strategy) ([]query.Match, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("invidx: negative threshold %g", tau)
@@ -119,8 +117,6 @@ func (r *Reader) PETQ(q uda.UDA, tau float64, s Strategy) ([]query.Match, error)
 // q (ties at the kth position broken arbitrarily), implemented as a
 // threshold query whose threshold rises dynamically to the kth best
 // probability seen, per §2 of the paper.
-//
-//ucatlint:hotpath
 func (r *Reader) TopK(q uda.UDA, k int, s Strategy) ([]query.Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("invidx: non-positive k %d", k)
@@ -261,7 +257,6 @@ func (r *Reader) accumulate(pairs []uda.Pair) (*scoreTable, error) {
 		r.rec.Add("inv.lists", 1)
 		weight := p.Prob
 		var entries int64
-		//ucatlint:ignore hotalloc one callback per posting list (not per entry); captured accumulator state is the point
 		err := tree.ScanVia(r.view, btree.Key{}, func(k btree.Key) bool {
 			entries++
 			prob, tid := unpackKey(k)
@@ -405,7 +400,6 @@ func (r *Reader) rowPruningTopK(q uda.UDA, k int) ([]query.Match, error) {
 			continue
 		}
 		var verr error
-		//ucatlint:ignore hotalloc one callback per posting list (not per entry); captured accumulator state is the point
 		err := tree.ScanVia(r.view, btree.Key{}, func(key btree.Key) bool {
 			_, tid := unpackKey(key)
 			if _, dup := seen[tid]; dup {
@@ -443,7 +437,6 @@ func (r *Reader) columnPruning(q uda.UDA, tau float64) ([]query.Match, error) {
 			continue
 		}
 		var verr error
-		//ucatlint:ignore hotalloc one callback per posting list (not per entry); captured accumulator state is the point
 		err := tree.ScanVia(r.view, btree.Key{}, func(key btree.Key) bool {
 			prob, tid := unpackKey(key)
 			if prob <= tau {

@@ -19,10 +19,10 @@
 //     and read-only query entry points must accept an injected pager.View so
 //     parallel workers keep private, exactly-reproducible I/O accounting
 //     (poolview).
-//   - Documentation: the operational packages — the serving layer, the
-//     observability toolkit and the decoded-page cache — must keep a
-//     complete godoc surface, since OPERATIONS.md links operators straight
-//     into it (exportdoc).
+//
+// Properties that need the whole program (lock order, context threading,
+// ack-implies-durable, hot-path allocation) are pinned by tests that run the
+// code, not by this package; DESIGN.md §12 names the test for each.
 //
 // A diagnostic can be suppressed with a directive comment on the same line or
 // on the line immediately above:
@@ -42,36 +42,18 @@ import (
 	"strings"
 )
 
-// Severity tiers a diagnostic. Errors fail the build (exit 1); warnings are
-// reported but do not, which lets a new check land warn-first and be
-// tightened once the tree is clean (see the baseline workflow in README).
-type Severity string
-
-const (
-	// SeverityError marks findings that must be fixed or explicitly ignored.
-	SeverityError Severity = "error"
-	// SeverityWarn marks advisory findings (heuristic checks, new checks
-	// landing warn-first).
-	SeverityWarn Severity = "warn"
-)
-
-// Diagnostic is a single finding, positioned at file:line:col.
+// Diagnostic is a single finding, positioned at file:line:col. Every finding
+// fails the run: it is fixed or carries an ignore directive with a reason.
 type Diagnostic struct {
-	Pos      token.Position
-	Check    string
-	Msg      string
-	Severity Severity // filled by the runner from the check when empty
+	Pos   token.Position
+	Check string
+	Msg   string
 }
 
 // String renders the diagnostic in the conventional file:line:col form used
-// by go vet and compilers, so editors can jump to it. Warnings carry a
-// trailing marker; errors (the default tier) stay in the classic format.
+// by go vet and compilers, so editors can jump to it.
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Msg, d.Check)
-	if d.Severity == SeverityWarn {
-		s += " (warn)"
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Msg, d.Check)
 }
 
 // Package is one type-checked package as seen by the checks: its syntax
@@ -85,25 +67,19 @@ type Package struct {
 	Info  *types.Info
 }
 
-// A Check is one analyzer pass. Exactly one of Run and RunProgram is set:
-// Run inspects a single package at a time, RunProgram gets the whole module
-// (all packages plus the call graph) for interprocedural analyses.
-// Suppression via ignore directives is handled by the runner, not by the
-// check; Severity defaults to SeverityError when empty.
+// A Check is one analyzer pass over a single package. Suppression via ignore
+// directives is handled by the runner, not by the check.
 type Check struct {
-	Name       string
-	Doc        string
-	Severity   Severity
-	Run        func(pkg *Package) []Diagnostic
-	RunProgram func(prog *Program) []Diagnostic
+	Name string
+	Doc  string
+	Run  func(pkg *Package) []Diagnostic
 }
 
 // DirectiveCheck is the name under which malformed //ucatlint:ignore
 // comments are reported.
 const DirectiveCheck = "directive"
 
-// AllChecks returns every registered check, in stable order: the original
-// single-package passes first, then the interprocedural ones (DESIGN.md §17).
+// AllChecks returns every registered check, in stable order.
 func AllChecks() []*Check {
 	return []*Check{
 		FloatcmpCheck(),
@@ -112,16 +88,8 @@ func AllChecks() []*Check {
 		GlobalRandCheck(),
 		PinleakCheck(),
 		PoolViewCheck(),
-		SharedPoolCheck(),
 		SpanEndCheck(),
 		CacheVersionCheck(),
-		ExportDocCheck(),
-		LockOrderCheck(),
-		CtxFlowCheck(),
-		HotAllocCheck(),
-		HotLogCheck(),
-		AtomicMixCheck(),
-		WalSyncCheck(),
 	}
 }
 
@@ -206,11 +174,9 @@ func editDistance(a, b string) int {
 
 // Run executes the checks over every package, applies ignore directives,
 // validates the directives themselves, and returns the surviving diagnostics
-// sorted by position. Per-package checks run package by package;
-// interprocedural checks (RunProgram) run once over the whole set, against a
-// call graph built on demand. Findings in generated files (files opening
-// with the standard "// Code generated ... DO NOT EDIT." comment) are
-// dropped: generated code answers to its generator, not to hand-edits.
+// sorted by position. Findings in generated files (files opening with the
+// standard "// Code generated ... DO NOT EDIT." comment) are dropped:
+// generated code answers to its generator, not to hand-edits.
 func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	valid := make(map[string]bool)
 	for _, c := range AllChecks() {
@@ -218,8 +184,6 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	}
 	valid[DirectiveCheck] = true
 
-	// Suppressions are keyed by filename, so one global table collected from
-	// every package serves per-package and whole-program checks alike.
 	sup := make(suppressions)
 	generated := make(map[string]bool)
 	var out []Diagnostic
@@ -231,37 +195,14 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 				generated[pkg.Fset.Position(f.Pos()).Filename] = true
 			}
 		}
-	}
-	var progChecks []*Check
-	for _, c := range checks {
-		if c.RunProgram != nil {
-			progChecks = append(progChecks, c)
-		}
-	}
-	raw := make([]Diagnostic, 0)
-	for _, pkg := range pkgs {
 		for _, c := range checks {
-			if c.Run == nil {
-				continue
-			}
 			for _, d := range c.Run(pkg) {
-				raw = append(raw, fillSeverity(d, c))
+				if sup.suppressed(d) || generated[d.Pos.Filename] {
+					continue
+				}
+				out = append(out, d)
 			}
 		}
-	}
-	if len(progChecks) > 0 {
-		prog := NewProgram(pkgs)
-		for _, c := range progChecks {
-			for _, d := range c.RunProgram(prog) {
-				raw = append(raw, fillSeverity(d, c))
-			}
-		}
-	}
-	for _, d := range raw {
-		if sup.suppressed(d) || generated[d.Pos.Filename] {
-			continue
-		}
-		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -277,19 +218,6 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 		return a.Check < b.Check
 	})
 	return out
-}
-
-// fillSeverity defaults a diagnostic's severity from its check (error when
-// the check declares none); a check may still tier individual findings by
-// setting Severity itself.
-func fillSeverity(d Diagnostic, c *Check) Diagnostic {
-	if d.Severity == "" {
-		d.Severity = c.Severity
-	}
-	if d.Severity == "" {
-		d.Severity = SeverityError
-	}
-	return d
 }
 
 // isGeneratedFile reports whether the file carries the standard generated-
@@ -361,18 +289,18 @@ func collectDirectives(pkg *Package, valid map[string]bool, sup suppressions) []
 				pos := pkg.Fset.Position(c.Pos())
 				fields := strings.Fields(text)
 				if len(fields) == 0 {
-					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck, Severity: SeverityError,
+					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck,
 						Msg: "ucatlint:ignore directive needs a check name and a reason"})
 					continue
 				}
 				check := fields[0]
 				if check != "all" && !valid[check] {
-					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck, Severity: SeverityError,
+					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck,
 						Msg: fmt.Sprintf("ucatlint:ignore names unknown check %q", check)})
 					continue
 				}
 				if len(fields) < 2 {
-					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck, Severity: SeverityError,
+					diags = append(diags, Diagnostic{Pos: pos, Check: DirectiveCheck,
 						Msg: fmt.Sprintf("ucatlint:ignore %s needs a reason", check)})
 					continue
 				}

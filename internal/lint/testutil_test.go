@@ -44,34 +44,6 @@ func (p *Pool) Fetch(pid PageID) (*Page, error) { return nil, nil }
 func (p *Pool) NewPage() (*Page, error)         { return nil, nil }
 func (p *Pool) Store() *Store                   { return nil }
 func (p *Pool) FlushAll() error                 { return nil }
-
-type Policy int
-
-const CLOCK Policy = 0
-
-func NewPool(store *Store, nframes int) *Pool { return nil }
-func NewSharedPool(store *Store, nframes, nshards int, policy Policy) *Pool {
-	return nil
-}
-
-type Session struct{}
-
-func (p *Pool) Session() *Session               { return nil }
-func (s *Session) Fetch(pid PageID) (*Page, error) { return nil, nil }
-`,
-	"ucat/internal/wal": `package wal
-
-type Type byte
-
-type Record struct {
-	Type Type
-	TID  uint32
-}
-
-type Log struct{}
-
-func (l *Log) Append(recs []Record) (first, last uint64, err error) { return 0, 0, nil }
-func (l *Log) Sync(lsn uint64) error                                { return nil }
 `,
 	"ucat/internal/obs": `package obs
 
@@ -101,99 +73,6 @@ var BigEndian byteOrder
 
 func AppendUvarint(b []byte, v uint64) []byte { return b }
 func Uvarint(b []byte) (uint64, int)          { return 0, 0 }
-`,
-	"encoding/json": `package json
-
-func Marshal(v any) ([]byte, error)      { return nil, nil }
-func Unmarshal(data []byte, v any) error { return nil }
-
-type Encoder struct{}
-
-func (e *Encoder) Encode(v any) error { return nil }
-`,
-	"context": `package context
-
-import "time"
-
-type Context interface {
-	Done() <-chan struct{}
-	Err() error
-	Deadline() (deadline time.Time, ok bool)
-	Value(key any) any
-}
-
-func Background() Context { return nil }
-func TODO() Context       { return nil }
-
-type CancelFunc func()
-
-func WithCancel(parent Context) (Context, CancelFunc) { return parent, nil }
-func WithDeadline(parent Context, d time.Time) (Context, CancelFunc) {
-	return parent, nil
-}
-`,
-	"time": `package time
-
-type Time struct{}
-type Duration int64
-
-func Now() Time                  { return Time{} }
-func (t Time) Add(d Duration) Time { return t }
-`,
-	"sync": `package sync
-
-type Mutex struct{ state int32 }
-
-func (m *Mutex) Lock()   {}
-func (m *Mutex) Unlock() {}
-
-type RWMutex struct{ state int32 }
-
-func (m *RWMutex) Lock()    {}
-func (m *RWMutex) Unlock()  {}
-func (m *RWMutex) RLock()   {}
-func (m *RWMutex) RUnlock() {}
-`,
-	"sync/atomic": `package atomic
-
-func AddUint64(addr *uint64, delta uint64) uint64 { return 0 }
-func LoadUint64(addr *uint64) uint64              { return 0 }
-func StoreUint64(addr *uint64, val uint64)        {}
-func AddInt64(addr *int64, delta int64) int64     { return 0 }
-func LoadInt64(addr *int64) int64                 { return 0 }
-func CompareAndSwapUint64(addr *uint64, old, new uint64) bool { return false }
-
-type Uint64 struct{ v uint64 }
-
-func (x *Uint64) Load() uint64       { return 0 }
-func (x *Uint64) Store(val uint64)   {}
-func (x *Uint64) Add(d uint64) uint64 { return 0 }
-`,
-	"fmt": `package fmt
-
-func Sprintf(format string, a ...any) string        { return "" }
-func Errorf(format string, a ...any) error          { return nil }
-func Print(a ...any) (n int, err error)             { return 0, nil }
-func Printf(format string, a ...any) (n int, err error) { return 0, nil }
-func Println(a ...any) (n int, err error)           { return 0, nil }
-func Fprintf(w any, format string, a ...any) (int, error) { return 0, nil }
-`,
-	"log/slog": `package slog
-
-type Logger struct{}
-
-func (l *Logger) Info(msg string, args ...any)  {}
-func (l *Logger) Warn(msg string, args ...any)  {}
-func (l *Logger) Error(msg string, args ...any) {}
-
-func Default() *Logger                 { return nil }
-func Info(msg string, args ...any)     {}
-func Error(msg string, args ...any)    {}
-`,
-	"log": `package log
-
-func Printf(format string, v ...any) {}
-func Println(v ...any)               {}
 `,
 	"math/rand": `package rand
 

@@ -46,8 +46,6 @@ func (t *Tree) distLowerBound(q uda.UDA, bound uda.Vector, div uda.Divergence) f
 
 // DSTQ returns all tuples whose distributional distance from q is at most
 // td, in ascending distance order.
-//
-//ucatlint:hotpath
 func (r *Reader) DSTQ(q uda.UDA, td float64, div uda.Divergence) ([]query.Neighbor, error) {
 	if td < 0 {
 		return nil, fmt.Errorf("pdrtree: negative distance threshold %g", td)
@@ -88,8 +86,6 @@ func (r *Reader) dstq(pid pager.PageID, q uda.UDA, td float64, div uda.Divergenc
 // DSTopK returns the k tuples distributionally closest to q (DSQ-top-k),
 // descending best-first into the child with the smallest distance lower
 // bound so the pruning threshold tightens early.
-//
-//ucatlint:hotpath
 func (r *Reader) DSTopK(q uda.UDA, k int, div uda.Divergence) ([]query.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("pdrtree: non-positive k %d", k)

@@ -253,7 +253,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // writeResult renders a delivered result, attributing it to the right
 // metrics by status and emitting the request-log line. Logging lives here —
 // on the handler goroutine — rather than in the workers, so the executor hot
-// loop never formats log output (the ucatlint hotlog check enforces that).
+// loop never formats log output (TestWireEncodePathAllocs would count it).
 // The status is the request's logical status under either protocol; binary
 // responses carry it in-band over a 200 transport.
 func (s *Server) writeResult(w http.ResponseWriter, req *request, res result) {

@@ -21,8 +21,8 @@
 // through its own pager.Session, whose goroutine-local hit/miss tally is
 // unaffected by concurrent requests on the same pool. The figures path
 // (internal/exp, ucatbench) deliberately keeps per-query private pools so
-// the paper's I/O counts stay bit-identical; the sharedpool lint check keeps
-// private pools out of this package. Production concerns the CLI tools
+// the paper's I/O counts stay bit-identical; TestFlightIODeltasMatchPoolStats
+// keeps private pools out of this package. Production concerns the CLI tools
 // never needed live here:
 //
 //   - admission control: a bounded queue; overflow is rejected immediately
@@ -34,7 +34,7 @@
 //     and ucatwire (internal/wire), a compact binary framing selected by
 //     Content-Type whose response path is allocation-free in steady state —
 //     pooled frame buffers, append-style encoders, no encoding/json and no
-//     fmt (the wire-rooted ucatlint hotlog/hotalloc checks enforce that);
+//     fmt (TestWireEncodePathAllocs pins it);
 //   - micro-batching: compatible probes of the batchable kinds (petq, topk,
 //     window — same kind and distribution, any threshold or k) arriving
 //     within a small window coalesce into one index traversal at the widest

@@ -81,7 +81,7 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (int, QueryRespon
 }
 
 func TestQueryKindsEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		body string
@@ -138,6 +138,29 @@ func TestQueryKindsEndToEnd(t *testing.T) {
 				t.Fatalf("response carries no io accounting")
 			}
 			tc.want(t, qr)
+
+			// The same request under a client deadline that has already
+			// passed: 408, and not one page read on its behalf.
+			pool := s.epoch.Load().pool
+			before := pool.Stats()
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancel()
+			r := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(tc.body)).WithContext(ctx)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, r)
+			var late QueryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &late); err != nil {
+				t.Fatalf("decoding 408 body %q: %v", w.Body, err)
+			}
+			if w.Code != http.StatusRequestTimeout || late.Error == "" {
+				t.Fatalf("expired deadline: status %d, body %+v; want 408 with an error", w.Code, late)
+			}
+			if late.IO != nil && late.IO.IOs != 0 {
+				t.Fatalf("expired deadline: response reports io %+v", late.IO)
+			}
+			if after := pool.Stats(); after.Reads != before.Reads || after.Hits != before.Hits {
+				t.Fatalf("expired deadline touched the pool: %+v -> %+v", before, after)
+			}
 		})
 	}
 }

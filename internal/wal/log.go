@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -184,7 +185,7 @@ func syncDir(dir string) error {
 // LSNs, returning the first and last. The records are NOT durable on return
 // — nothing has necessarily reached the file, let alone the platter. Callers
 // must Sync(last) before acknowledging the operations to anyone
-// (DURABILITY.md §4; the ucatlint walsync check audits this).
+// (DURABILITY.md §4).
 func (l *Log) Append(recs []Record) (first, last uint64, err error) {
 	if len(recs) == 0 {
 		return 0, 0, fmt.Errorf("%w: empty batch", ErrBadRecord)
@@ -224,8 +225,8 @@ func (l *Log) Append(recs []Record) (first, last uint64, err error) {
 	return first, last, nil
 }
 
-// syncErr reads the sticky fsync error. Lock order: commit.mu nests inside
-// nothing; mu is never taken under it.
+// syncErr reads the sticky fsync error. Lock order: commit.mu may be taken
+// under mu, never the reverse (DESIGN.md §13).
 func (l *Log) syncErr() error {
 	l.commit.mu.Lock()
 	defer l.commit.mu.Unlock()
@@ -316,6 +317,12 @@ func (l *Log) lead() {
 	s := &l.commit
 	s.mu.Lock()
 	s.leading = false
+	if errors.Is(err, os.ErrClosed) && s.durable >= target {
+		// A rotation took mu after our flush, fsynced f and closed it under
+		// us. It published its barrier before closing, and that barrier
+		// covers target: nothing was lost, so nothing poisons the log.
+		err = nil
+	}
 	if err != nil {
 		// Sticky by design: after a failed fsync the kernel may have dropped
 		// the dirty pages, so no later fsync can honestly promise the lost
@@ -382,6 +389,9 @@ func (l *Log) rotateLocked() error {
 		l.poison(err)
 		return err
 	}
+	// Publish before closing: a Sync leader that flushed to this file and
+	// finds it closed must already see its target durable (lead).
+	l.advanceDurable(l.appended)
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
@@ -463,14 +473,14 @@ func (l *Log) Close() error {
 			err = fmt.Errorf("wal: fsync on close: %w", serr)
 		}
 	}
+	if err == nil {
+		// Before closing the file, for the same reason as rotateLocked.
+		l.advanceDurable(l.appended)
+	}
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: %w", cerr)
 	}
-	appended := l.appended
 	l.mu.Unlock()
-	if err == nil {
-		l.advanceDurable(appended)
-	}
 	l.poison(ErrClosed)
 	return err
 }

@@ -14,8 +14,8 @@ type ReplayInfo struct {
 	LastLSN uint64
 	// Records is the number of records delivered.
 	Records uint64
-	// TruncatedTail is the number of torn bytes dropped from the end of the
-	// final segment — nonzero after a crash that raced a write.
+	// TruncatedTail is the number of torn bytes cut off the end of the final
+	// segment file — nonzero after a crash that raced a write.
 	TruncatedTail int
 	// Segments is the number of segment files examined.
 	Segments int
@@ -26,8 +26,8 @@ type ReplayInfo struct {
 //
 // Damage is classified by position (DURABILITY.md §8): a bad frame — short
 // header or body, zero or oversized declared length, CRC mismatch — at the
-// tail of the FINAL segment is a torn write from the crash and is silently
-// dropped along with everything after it; the same damage anywhere else, a
+// tail of the FINAL segment is a torn write from the crash and is cut off the
+// file along with everything after it; the same damage anywhere else, a
 // record that fails to decode despite a valid CRC, or a gap in the segment
 // chain is ErrCorrupt. An error from fn aborts the replay and is returned
 // as-is.
@@ -62,6 +62,11 @@ func Replay(dir string, after uint64, fn func(lsn uint64, rec Record) error) (Re
 		}
 		if final {
 			info.TruncatedTail = torn
+			if torn > 0 {
+				if err := dropTail(seg.path, torn); err != nil {
+					return info, err
+				}
+			}
 			break
 		}
 		if torn > 0 {
@@ -77,6 +82,31 @@ func Replay(dir string, after uint64, fn func(lsn uint64, rec Record) error) (Re
 		next = end + 1
 	}
 	return info, nil
+}
+
+// dropTail cuts the last n bytes off the final segment and fsyncs it. The
+// caller opens the next segment after this one, which makes this file
+// non-final; torn bytes left in it would then read as corruption on the
+// following recovery (DURABILITY.md §7 step 3).
+func dropTail(path string, n int) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("wal: dropping torn tail: %w", err)
+	}
+	st, err := f.Stat()
+	if err == nil {
+		err = f.Truncate(st.Size() - int64(n))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: dropping torn tail: %w", err)
+	}
+	return nil
 }
 
 // replaySegment reads one segment file, verifying its header against the

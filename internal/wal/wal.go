@@ -15,14 +15,14 @@
 // buffers records and assigns LSNs but promises nothing; Sync(lsn) returns
 // only once every record up to lsn is on stable storage. Concurrent Sync
 // callers coalesce — one becomes the fsync leader, the rest ride on its
-// barrier — mirroring the query micro-batcher's leader/rider shape. The
-// ucatlint walsync check enforces the contract at the call-graph level: any
-// path that appends must reach a Sync before acknowledging.
+// barrier — mirroring the query micro-batcher's leader/rider shape. Any
+// path that appends must reach a Sync before acknowledging; core.Live.Apply
+// is the only production one.
 //
 // Replay (DURABILITY.md §7) rebuilds the suffix of the operation stream after
 // a crash. A torn tail — a partially-written final record in the final
-// segment — is expected (the crash raced the write) and is dropped; the same
-// damage anywhere else is corruption and an error.
+// segment — is expected (the crash raced the write) and is cut off the file;
+// the same damage anywhere else is corruption and an error.
 package wal
 
 import (

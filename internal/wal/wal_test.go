@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -271,6 +272,124 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestSyncRacesRotate drives Append+Sync from two goroutines against a
+// looping Rotate — what Live.Apply and a fold's freeze do to one log. A
+// rotation that closes the file a Sync leader is about to fsync must not
+// poison the log: no byte was lost.
+func TestSyncRacesRotate(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), GroupWindow: -1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 2, 300
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				_, last, err := l.Append(testRecords(1))
+				if err == nil {
+					err = l.Sync(last)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if d := l.DurableLSN(); d < last {
+					errs <- fmt.Errorf("Sync(%d) returned but durable = %d", last, d)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	// The window is two adjacent statements in lead (unlock mu, fsync), so a
+	// leader only loses it when it is descheduled right there: keep every
+	// CPU oversubscribed so that a woken rotator takes the leader's slice.
+	for b := 0; b < 2*runtime.GOMAXPROCS(0); b++ {
+		go func() {
+			for x := 0; ; x++ {
+				if x%10000 == 0 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}
+		}()
+	}
+	rotated := make(chan struct{})
+	go func() {
+		defer close(rotated)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := l.Rotate(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-rotated
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFsyncFailureIsSticky pins DURABILITY.md §4.3: a genuine fsync failure
+// (the file closed under the log, with no rotation to vouch for its bytes)
+// poisons every later commit, while what was durable before stays so.
+func TestFsyncFailureIsSticky(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), GroupWindow: -1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, durable, err := l.Append(testRecords(3))
+	if err == nil {
+		err = l.Sync(durable)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, last, err := l.Append(testRecords(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := l.Sync(last)
+	if poison == nil {
+		t.Fatal("Sync succeeded on a closed file")
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := l.Append(testRecords(1)); !errors.Is(err, poison) {
+			t.Fatalf("Append after fsync failure: err = %v, want %v", err, poison)
+		}
+	}
+	if err := l.Sync(last); !errors.Is(err, poison) {
+		t.Fatalf("Sync of the lost LSN: err = %v, want %v", err, poison)
+	}
+	if err := l.Sync(durable); err != nil {
+		t.Fatalf("Sync of an LSN durable before the failure: %v", err)
+	}
+	if got := l.DurableLSN(); got != durable {
+		t.Fatalf("DurableLSN = %d, want %d", got, durable)
+	}
+}
+
 func TestFsyncModes(t *testing.T) {
 	for _, mode := range []FsyncMode{FsyncGroup, FsyncAlways, FsyncNever} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -450,6 +569,36 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		if info.TruncatedTail != wantTorn {
 			t.Fatalf("cut=%d: TruncatedTail = %d, want %d", cut, info.TruncatedTail, wantTorn)
+		}
+		if cut <= bounds[len(bounds)-2] {
+			continue
+		}
+		// A cut inside the last frame, then the rest of recovery (§7 steps
+		// 3–4): the torn bytes must be gone from the file before the next
+		// segment makes this one non-final, or the restart after that reads
+		// them as corruption.
+		l, err := Open(Options{Dir: dir, GroupWindow: -1}, info.LastLSN+1)
+		if err != nil {
+			t.Fatalf("cut=%d: reopen: %v", cut, err)
+		}
+		_, last, err := l.Append(want[:1])
+		if err == nil {
+			err = l.Sync(last)
+		}
+		if err == nil {
+			err = l.Close()
+		}
+		if err != nil {
+			t.Fatalf("cut=%d: append after recovery: %v", cut, err)
+		}
+		again, _, _ := replayAll(t, dir, 0)
+		if !reflect.DeepEqual(normPairs(again), normPairs(append(want[:whole:whole], want[0]))) {
+			t.Fatalf("cut=%d: second recovery differs from surviving prefix + new record", cut)
+		}
+		if next := finalSegment(t, dir); next != path {
+			if err := os.Remove(next); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
