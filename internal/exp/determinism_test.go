@@ -1,59 +1,101 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"ucat/internal/core"
 	"ucat/internal/dataset"
 )
 
-// TestFiguresDeterministicUnderWorkers is the acceptance gate for the
-// parallel harness: for every paper figure (4–10) at Scale=0.05, the
-// per-series per-point I/O values with Workers=4 must be *exactly* equal to
-// the sequential run — not approximately, bitwise. Each query runs against
-// its own fresh pool view, so worker scheduling may reorder execution but
-// can never change what any query pays.
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden from a sequential run")
+
+// goldenPath holds the exact integer I/O totals of every figure cell at
+// goldenParams. A change that moves any of them is a figure change: rerun
+// with -update and say why.
+const goldenPath = "testdata/figures.golden"
+
+var goldenParams = Params{Scale: 0.05, Queries: 4, Seed: 3}
+
+// goldenLines renders a figure as one "id\tlabel\tx\ttotal" line per cell,
+// where total is the summed I/Os of the cell's queries. Point.IOs is that
+// sum divided by the query count; the division is checked to round-trip,
+// so the total is exact, not a rounded mean.
+func goldenLines(t *testing.T, fig *Figure, queries int) []string {
+	t.Helper()
+	var out []string
+	for _, s := range fig.Series {
+		for _, pt := range s.Points {
+			total := uint64(math.Round(pt.IOs * float64(queries)))
+			//ucatlint:ignore floatcmp the mean must reproduce from the integer total exactly
+			if float64(total)/float64(queries) != pt.IOs {
+				t.Fatalf("%s %q x=%g: mean %v is not an exact total over %d queries", fig.ID, s.Label, pt.X, pt.IOs, queries)
+			}
+			out = append(out, fmt.Sprintf("%s\t%s\t%g\t%d", fig.ID, s.Label, pt.X, total))
+		}
+	}
+	return out
+}
+
+// TestFiguresDeterministicUnderWorkers pins Figures 4–10 to history: for
+// every figure at goldenParams, the exact I/O total of every cell must equal
+// testdata/figures.golden, sequentially and with Workers=4. Each query runs
+// against its own fresh pool view, so worker scheduling may reorder
+// execution but can never change what any query pays; and the figures path
+// prunes with the paper's Lemma 2, so no pruning change can move them.
 func TestFiguresDeterministicUnderWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism sweep in -short mode")
 	}
-	base := Params{Scale: 0.05, Queries: 4, Seed: 3}
+	want := map[string][]string{}
+	if !*update {
+		raw, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("read golden (regenerate with -update): %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			id, _, _ := strings.Cut(line, "\t")
+			want[id] = append(want[id], line)
+		}
+	}
+	var fresh []string
 	for _, r := range Figures {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			seq := base
-			seq.Workers = 1
-			figSeq, err := r.Run(seq)
-			if err != nil {
-				t.Fatalf("%s sequential: %v", r.ID, err)
-			}
-			par := base
-			par.Workers = 4
-			figPar, err := r.Run(par)
-			if err != nil {
-				t.Fatalf("%s workers=4: %v", r.ID, err)
-			}
-			if len(figSeq.Series) != len(figPar.Series) {
-				t.Fatalf("%s: %d series sequential, %d parallel", r.ID, len(figSeq.Series), len(figPar.Series))
-			}
-			for si := range figSeq.Series {
-				ss, sp := figSeq.Series[si], figPar.Series[si]
-				if ss.Label != sp.Label {
-					t.Fatalf("%s series %d: label %q vs %q", r.ID, si, ss.Label, sp.Label)
+			for _, workers := range []int{1, 4} {
+				if *update && workers > 1 {
+					continue
 				}
-				if len(ss.Points) != len(sp.Points) {
-					t.Fatalf("%s %q: %d points sequential, %d parallel", r.ID, ss.Label, len(ss.Points), len(sp.Points))
+				p := goldenParams
+				p.Workers = workers
+				fig, err := r.Run(p)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", r.ID, workers, err)
 				}
-				for pi := range ss.Points {
-					a, b := ss.Points[pi], sp.Points[pi]
-					//ucatlint:ignore floatcmp exact cross-worker determinism is the contract under test
-					if a.X != b.X || a.IOs != b.IOs {
-						t.Errorf("%s %q point %d: sequential (x=%g, io=%g) vs workers=4 (x=%g, io=%g); must be bit-identical",
-							r.ID, ss.Label, pi, a.X, a.IOs, b.X, b.IOs)
+				got := goldenLines(t, fig, p.Queries)
+				if *update {
+					fresh = append(fresh, got...)
+					continue
+				}
+				if len(got) != len(want[r.ID]) {
+					t.Fatalf("%s workers=%d: %d cells, golden has %d", r.ID, workers, len(got), len(want[r.ID]))
+				}
+				for i := range got {
+					if got[i] != want[r.ID][i] {
+						t.Errorf("workers=%d: got %q, golden %q", workers, got[i], want[r.ID][i])
 					}
 				}
 			}
 		})
+	}
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(fresh, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
