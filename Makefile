@@ -105,6 +105,7 @@ ablations:
 
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/uda/
+	$(GO) test -fuzz FuzzMassCapBound -fuzztime $(FUZZTIME) ./internal/uda/
 	$(GO) test -fuzz FuzzDecodeBoundary -fuzztime $(FUZZTIME) ./internal/pdrtree/
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzReplayWAL -fuzztime $(FUZZTIME) ./internal/wal/

@@ -104,6 +104,63 @@ func TestAllKindsAgreeOnTopK(t *testing.T) {
 	}
 }
 
+// TestPDRTopKMatchesScanOnDuplicates: on duplicate-heavy data the kth
+// probability is shared by many tuples, and TopK must still return the
+// smallest tids among them, exactly as the scan does.
+func TestPDRTopKMatchesScanOnDuplicates(t *testing.T) {
+	dists := []uda.UDA{
+		uda.Certain(1),
+		uda.Certain(2),
+		uda.MustNew(uda.Pair{Item: 1, Prob: 0.5}, uda.Pair{Item: 2, Prob: 0.5}),
+		uda.MustNew(uda.Pair{Item: 2, Prob: 0.25}, uda.Pair{Item: 3, Prob: 0.75}),
+	}
+	values := make([]uda.UDA, 2000)
+	for i := range values {
+		values[i] = dists[(i*7)%len(dists)]
+	}
+	scan, err := NewRelation(Options{Kind: ScanOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted, err := NewRelation(Options{Kind: PDRTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range values {
+		for _, rel := range []*Relation{scan, inserted} {
+			if _, err := rel.Insert(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bulk, err := BulkLoad(Options{Kind: PDRTree}, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range dists {
+		for _, k := range []int{1, 5, 60} {
+			want, err := scan.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, rel := range map[string]*Relation{"inserted": inserted, "bulk-loaded": bulk} {
+				got, err := rel.TopK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s TopK(%v, %d): %d results, scan %d", name, q, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].TID != want[i].TID || math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
+						t.Fatalf("%s TopK(%v, %d) result %d = %v, scan %v", name, q, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAllKindsAgreeOnDSTQ(t *testing.T) {
 	rels := allKinds(t)
 	fill(t, rels, 400, 12, 4, 21)

@@ -38,7 +38,10 @@ func BulkLoad(pool *pager.Pool, cfg Config, tuples []Tuple) (*Tree, error) {
 				tp.TID, leafRecordSize(tp.Value), maxRecord)
 		}
 	}
-	t := &Tree{pool: pool, cfg: cfg, size: len(tuples)}
+	t := &Tree{pool: pool, cfg: cfg, size: len(tuples), minMass: 1 + uda.Epsilon}
+	for _, tp := range tuples {
+		t.minMass = min(t.minMass, tp.Value.Mass())
+	}
 
 	// Order by (mode item, descending mode probability, tid).
 	order := make([]int, len(tuples))

@@ -17,6 +17,10 @@ type Tree struct {
 	cfg  Config
 	root pager.PageID
 	size int
+	// minMass is at most the mass of every stored UDA: Insert and BulkLoad
+	// lower it, Delete leaves it (still a lower bound). The L1 similarity
+	// bound uses it. An empty tree starts at the mass limit 1+ε.
+	minMass float64
 	// cache, when non-nil, holds decoded nodes keyed by (page id, store
 	// version) and is consulted by Reader traversals AFTER the page fetch,
 	// so the paper's I/O accounting is unchanged. Write paths always decode
@@ -38,7 +42,7 @@ func New(pool *pager.Pool, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{pool: pool, cfg: cfg}
+	t := &Tree{pool: pool, cfg: cfg, minMass: 1 + uda.Epsilon}
 	pg, err := pool.NewPage()
 	if err != nil {
 		return nil, err
@@ -93,6 +97,7 @@ func (t *Tree) Insert(tid uint32, u uda.UDA) error {
 		}
 	}
 	t.size++
+	t.minMass = min(t.minMass, u.Mass())
 	return nil
 }
 

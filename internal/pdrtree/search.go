@@ -13,7 +13,8 @@ import (
 // Pr(q = t) > tau, with exact probabilities, in descending probability
 // order. A subtree is pruned when ⟨boundary, q⟩ ≤ tau (Lemma 2: the dot
 // product with the pointwise-max boundary dominates the equality probability
-// of everything beneath it).
+// of everything beneath it), tightened by the mass cap unless
+// Config.PaperBound is set.
 func (r *Reader) PETQ(q uda.UDA, tau float64) ([]query.Match, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("pdrtree: negative threshold %g", tau)
@@ -22,7 +23,7 @@ func (r *Reader) PETQ(q uda.UDA, tau float64) ([]query.Match, error) {
 	defer sp.End()
 	sp.AttrF("tau", tau)
 	var res []query.Match
-	err := r.petq(r.t.root, q, tau, &res)
+	err := r.petq(r.t.root, q, tau, r.massCapUDA(q), &res)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +31,7 @@ func (r *Reader) PETQ(q uda.UDA, tau float64) ([]query.Match, error) {
 	return res, nil
 }
 
-func (r *Reader) petq(pid pager.PageID, q uda.UDA, tau float64, res *[]query.Match) error {
+func (r *Reader) petq(pid pager.PageID, q uda.UDA, tau float64, mc *uda.MassCap, res *[]query.Match) error {
 	n, err := r.readNode(pid)
 	if err != nil {
 		return err
@@ -49,13 +50,13 @@ func (r *Reader) petq(pid pager.PageID, q uda.UDA, tau float64, res *[]query.Mat
 	// exceeds the threshold (Lemma 2 keeps them), versus pruned siblings.
 	live := int64(0)
 	for i := range n.children {
-		if r.t.cfg.queryDot(q, n.bounds[i]) <= tau {
+		if r.t.cfg.queryDot(q, n.bounds[i], mc) <= tau {
 			r.rec.Add("pdr.pruned", 1)
 			continue
 		}
 		live++
 		r.rec.Add("pdr.descended", 1)
-		if err := r.petq(n.children[i], q, tau, res); err != nil {
+		if err := r.petq(n.children[i], q, tau, mc, res); err != nil {
 			return err
 		}
 	}
@@ -63,11 +64,13 @@ func (r *Reader) petq(pid pager.PageID, q uda.UDA, tau float64, res *[]query.Mat
 	return nil
 }
 
-// TopK returns the k tuples with the highest equality probability to q
-// (ties at the kth position broken arbitrarily). The search descends
-// greedily into the child with the largest ⟨boundary, q⟩ first so the
-// dynamic threshold rises early, and prunes children whose bound cannot beat
-// the current kth best probability.
+// TopK returns the k tuples with the highest equality probability to q,
+// ordered (probability desc, tid asc) with ties at the kth position going to
+// the smaller tid. The search descends greedily into the child with the
+// largest bound first so the dynamic threshold rises early, and prunes
+// children whose bound is below the current kth best probability. A bound
+// equal to it is still descended: the subtree may hold a tie with a smaller
+// tid, so pruning on equality would make the answer depend on visit order.
 func (r *Reader) TopK(q uda.UDA, k int) ([]query.Match, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("pdrtree: non-positive k %d", k)
@@ -76,13 +79,13 @@ func (r *Reader) TopK(q uda.UDA, k int) ([]query.Match, error) {
 	defer sp.End()
 	sp.AttrF("k", float64(k))
 	tk := query.NewTopK(k)
-	if err := r.topk(r.t.root, q, tk); err != nil {
+	if err := r.topk(r.t.root, q, r.massCapUDA(q), tk); err != nil {
 		return nil, err
 	}
 	return tk.Results(), nil
 }
 
-func (r *Reader) topk(pid pager.PageID, q uda.UDA, tk *query.TopK) error {
+func (r *Reader) topk(pid pager.PageID, q uda.UDA, mc *uda.MassCap, tk *query.TopK) error {
 	n, err := r.readNode(pid)
 	if err != nil {
 		return err
@@ -101,20 +104,20 @@ func (r *Reader) topk(pid pager.PageID, q uda.UDA, tk *query.TopK) error {
 	}
 	order := make([]scored, len(n.children))
 	for i := range n.children {
-		order[i] = scored{child: n.children[i], dot: r.t.cfg.queryDot(q, n.bounds[i])}
+		order[i] = scored{child: n.children[i], dot: r.t.cfg.queryDot(q, n.bounds[i], mc)}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].dot > order[j].dot })
 	live := int64(0)
 	for oi, s := range order {
-		// Children are in descending bound order: once one cannot beat the
+		// Children are in descending bound order: once one cannot reach the
 		// threshold, none of the rest can.
-		if (tk.Full() && s.dot <= tk.Threshold()) || s.dot <= 0 {
+		if (tk.Full() && s.dot < tk.Threshold()) || s.dot <= 0 {
 			r.rec.Add("pdr.pruned", int64(len(order)-oi))
 			break
 		}
 		live++
 		r.rec.Add("pdr.descended", 1)
-		if err := r.topk(s.child, q, tk); err != nil {
+		if err := r.topk(s.child, q, mc, tk); err != nil {
 			return err
 		}
 	}
