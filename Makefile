@@ -10,12 +10,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# Static invariants: go vet plus the project's own analyzer (see DESIGN.md,
-# "Static invariants"). ucatlint enforces the probability / I/O-accounting /
-# determinism rules every figure depends on; the build fails on violations.
+# go vet. The project's own analyzer (internal/lint: the probability,
+# I/O-accounting and determinism rules every figure depends on, DESIGN.md
+# §12) runs inside `go test` as TestSelfHost.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/ucatlint ./...
 
 test:
 	$(GO) test ./...
@@ -55,14 +54,14 @@ bench-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# End-to-end smoke of the binary wire protocol: boots ucatd with batching
-# on, sweeps every query kind over both protocols asserting identical
-# answers and zero protocol errors (ucatload's exit status), checks the
-# per-protocol /metrics counters moved, then re-runs the pinned encode-path
-# allocation test (used by CI).
+# End-to-end smoke of the binary wire protocol: boots ucatd, sweeps every
+# query kind over both protocols asserting identical answers and zero
+# protocol errors (ucatload's exit status), checks the per-protocol /metrics
+# counters moved, then re-runs the pinned encode- and decode-path allocation
+# tests (used by CI).
 wire-smoke:
 	bash scripts/wire_smoke.sh
-	$(GO) test -run TestWireEncodePathAllocs -count=1 -v ./internal/server/
+	$(GO) test -run 'TestWire(Encode|Decode)PathAllocs' -count=1 -v ./internal/server/
 
 # End-to-end smoke of the live write path: read-only p99 baseline, then the
 # same query sweep against a -wal server with concurrent ingest writers and

@@ -1,11 +1,11 @@
 // Command ucatd serves a persisted uncertain relation over HTTP: the paper's
 // probabilistic queries (PETQ, top-k, window equality, DSTQ, nearest
-// neighbor) with admission control, per-request deadlines, micro-batching of
-// the batchable kinds (PETQ, top-k, window) and graceful drain. One listener
-// speaks two protocols, negotiated per request by Content-Type: the JSON API
-// below, and the binary ucatwire framing (application/x-ucatwire) whose
-// response path runs allocation-free — see OPERATIONS.md's wire-protocol
-// section and ucatquery -addr -proto binary for a ready-made client.
+// neighbor) with admission control, per-request deadlines and graceful
+// drain. One listener speaks two protocols, negotiated per request by
+// Content-Type: the JSON API below, and the binary ucatwire framing
+// (application/x-ucatwire) whose response path runs allocation-free — see
+// OPERATIONS.md's wire-protocol section and ucatquery -addr -proto binary
+// for a ready-made client.
 //
 //	$ ucatgen -n 50000 -index pdr -save rel.ucat
 //	$ ucatd -load rel.ucat -addr :8080
@@ -62,8 +62,6 @@ func run() error {
 		queue       = flag.Int("queue", 0, "admission queue depth; overflow answers 429 (0 = 64)")
 		timeout     = flag.Duration("timeout", 0, "default per-query deadline when the request sets none (0 = 2s)")
 		maxTimeout  = flag.Duration("maxtimeout", 0, "cap on client-requested deadlines (0 = 30s)")
-		batchWindow = flag.Duration("batchwindow", 0, "micro-batching window for petq/topk/window probes; 0 disables batching")
-		batchMax    = flag.Int("batchmax", 0, "max probes coalesced into one traversal (0 = 16)")
 		retryAfter  = flag.Duration("retryafter", 0, "Retry-After hint on 429 responses (0 = 1s)")
 		drain       = flag.Duration("drain", 15*time.Second, "grace period for in-flight queries on SIGTERM/SIGINT")
 		logFormat   = flag.String("logformat", "text", "structured log encoding: text | json")
@@ -154,8 +152,6 @@ func run() error {
 		PoolPolicy:     *policy,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		BatchWindow:    *batchWindow,
-		BatchMax:       *batchMax,
 		RetryAfter:     *retryAfter,
 		FlightRecords:  *flightRecs,
 		SlowThreshold:  slowThreshold,

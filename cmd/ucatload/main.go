@@ -6,17 +6,15 @@
 // (go run ./benchmark), not from here.
 //
 // For each -proto (json, binary) and each -clients level, N clients issue
-// queries back-to-back for -dur, drawing from the -kinds mix; -hotset replays
-// queries from a small pre-drawn pool so a batching server actually
-// coalesces them. With -ingestclients, writers stream inserts at /v1/ingest
-// for the whole run.
+// queries back-to-back for -dur, drawing fresh queries from the -kinds mix.
+// With -ingestclients, writers stream inserts at /v1/ingest for the whole
+// run.
 //
-// With -load it also replays a deterministic workload over the batchable
-// kinds (PETQ, top-k, window) three ways — directly against the same
+// With -load it also replays a deterministic workload over the equality
+// kinds PETQ, top-k and window three ways — directly against the same
 // snapshot in-process, through the JSON protocol, and through the binary
-// protocol, the served pair issued concurrently so a batching server
-// coalesces them: the serving layer, either encoding of it, batched or not,
-// must never change a result.
+// protocol, the served pair issued concurrently: the serving layer, in
+// either encoding, must never change a result.
 //
 // The exit status is non-zero when a load level completed nothing, when any
 // transport or protocol error occurred (queries or ingest), or when a single
@@ -67,7 +65,6 @@ type params struct {
 	tau     float64
 	k       int
 	c       uint
-	hotset  int
 	seed    int64
 	load    string
 	check   int
@@ -100,8 +97,6 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&p.tau, "tau", 0.1, "threshold for generated petq/window queries (and dstq distance)")
 	fs.IntVar(&p.k, "k", 10, "k for generated topk/windowtopk/neighbor queries")
 	fs.UintVar(&p.c, "c", 2, "window radius for generated window/windowtopk queries")
-	fs.IntVar(&p.hotset, "hotset", 0,
-		"replay queries from a pool of this many pre-drawn cases instead of drawing fresh ones (duplicates let the server's batcher coalesce; 0 = all fresh)")
 	fs.Int64Var(&p.seed, "seed", 1, "workload PRNG seed")
 	fs.StringVar(&p.load, "load", "", "relation snapshot for the determinism check (empty = skip)")
 	fs.IntVar(&p.check, "check", 50, "determinism-check query count per kind (with -load)")
@@ -159,9 +154,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	for _, proto := range p.protos {
-		wl := newWorkload(&p)
 		for _, n := range p.clients {
-			lvl := runClosed(client, &p, wl, proto, n)
+			lvl := runClosed(client, &p, proto, n)
 			fmt.Fprintf(out, "closed [%s] %3d clients: %s\n", proto, n, lvl)
 			if lvl.completed == 0 {
 				failures = append(failures, fmt.Sprintf("%s at %d clients completed nothing", proto, n))
@@ -268,34 +262,6 @@ type queryCase struct {
 	c    uint32
 }
 
-// workload is the query source one sweep draws from. With -hotset the pool
-// is pre-drawn and every request replays one of its cases — the repeats are
-// what give a batching server identical distributions to coalesce; with
-// hotset 0 every draw is fresh.
-type workload struct {
-	p    *params
-	pool []queryCase
-}
-
-func newWorkload(p *params) *workload {
-	w := &workload{p: p}
-	if p.hotset > 0 {
-		rng := rand.New(rand.NewSource(p.seed))
-		for i := 0; i < p.hotset; i++ {
-			w.pool = append(w.pool, genCase(p, rng))
-		}
-	}
-	return w
-}
-
-// draw picks the next case for one client goroutine.
-func (w *workload) draw(rng *rand.Rand) queryCase {
-	if len(w.pool) > 0 {
-		return w.pool[rng.Intn(len(w.pool))]
-	}
-	return genCase(w.p, rng)
-}
-
 // genCase draws one random query of a random kind from the -kinds mix.
 func genCase(p *params, rng *rand.Rand) queryCase {
 	return queryCase{
@@ -309,7 +275,7 @@ func genCase(p *params, rng *rand.Rand) queryCase {
 
 // runClosed measures one closed-loop level: n clients in lockstep with the
 // server, each issuing its next query as soon as the previous one answers.
-func runClosed(client *http.Client, p *params, wl *workload, proto string, n int) level {
+func runClosed(client *http.Client, p *params, proto string, n int) level {
 	var c counters
 	deadline := time.Now().Add(p.dur)
 	var wg sync.WaitGroup
@@ -319,7 +285,7 @@ func runClosed(client *http.Client, p *params, wl *workload, proto string, n int
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(p.seed + int64(id)))
 			for time.Now().Before(deadline) {
-				post(client, p, proto, encodeCase(wl.draw(rng), proto, 0), &c)
+				post(client, p, proto, encodeCase(genCase(p, rng), proto, 0), &c)
 			}
 		}(i)
 	}
@@ -485,15 +451,14 @@ func decodeWire(frame []byte) (wire.Response, error) {
 	return rsp, nil
 }
 
-// checkKinds is the determinism check's coverage: the batchable kinds, whose
-// answers must survive protocol encoding AND batch carving unchanged.
+// checkKinds is the determinism check's coverage: the equality kinds, whose
+// answers must survive protocol encoding unchanged.
 var checkKinds = []string{"petq", "topk", "window"}
 
-// runCheck replays a deterministic workload per batchable kind three ways —
+// runCheck replays a deterministic workload per checked kind three ways —
 // direct, JSON-served, binary-served — comparing every answer bit for bit,
-// and returns how many differed. The two served requests go out concurrently
-// with identical distributions, so on a batching server they coalesce into
-// one traversal and the check also proves batch carving exact.
+// and returns how many differed. The two served requests go out
+// concurrently, so they share the server's pool while both are in flight.
 func runCheck(client *http.Client, p *params, out io.Writer) (mismatches int, err error) {
 	rel, err := core.LoadRelationFile(p.load)
 	if err != nil {

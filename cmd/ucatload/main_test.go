@@ -44,13 +44,12 @@ func saveRelation(t *testing.T, dir, name string, n, seed int) (*core.Relation, 
 	return rel, path
 }
 
-// serve boots an in-process batching server over rel and returns host:port.
+// serve boots an in-process server over rel and returns host:port.
 func serve(t *testing.T, rel *core.Relation) string {
 	t.Helper()
 	s, err := server.New(server.Config{
-		Relation:    rel,
-		BatchWindow: 200 * time.Microsecond,
-		Registry:    obs.NewRegistry(),
+		Relation: rel,
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,19 +65,19 @@ func serve(t *testing.T, rel *core.Relation) string {
 }
 
 // sweepArgs is wire_smoke.sh's invocation at test size: both protocols, all
-// six kinds from a shared hotset, and the three-way determinism check.
+// six kinds, and the three-way determinism check.
 func sweepArgs(addr, load string) []string {
 	return []string{
 		"-addr", addr, "-proto", "json,binary",
-		"-kinds", "petq,topk,window,windowtopk,dstq,neighbor", "-hotset", "8",
+		"-kinds", "petq,topk,window,windowtopk,dstq,neighbor",
 		"-clients", "2", "-dur", "150ms", "-domain", "8", "-items", "2",
 		"-load", load, "-check", "10", "-timeout", "5s",
 	}
 }
 
-// TestSweepAndDeterminismCheckPass: against a healthy batching server every
-// level completes traffic over both protocols, the determinism check covers
-// each batchable kind without a mismatch, and the exit status is zero.
+// TestSweepAndDeterminismCheckPass: against a healthy server every level
+// completes traffic over both protocols, the determinism check covers each
+// checked kind without a mismatch, and the exit status is zero.
 func TestSweepAndDeterminismCheckPass(t *testing.T) {
 	rel, path := saveRelation(t, t.TempDir(), "rel.ucat", 400, 0)
 	var out bytes.Buffer

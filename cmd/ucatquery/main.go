@@ -260,7 +260,7 @@ func obtainRelation(p params) (*core.Relation, error) {
 
 // runRemote sends the query to a running ucatd over the chosen protocol and
 // prints the served answer in the same shape the local paths use, plus the
-// server-side cost the response carries (trace ID, batch membership, reads).
+// server-side cost the response carries (trace ID, elapsed time).
 func runRemote(p params) error {
 	q, err := cliutil.ParseUDA(p.queryStr)
 	if err != nil {
@@ -368,8 +368,6 @@ func runRemote(p params) error {
 			Matches   []wire.Match    `json:"matches"`
 			Neighbors []wire.Neighbor `json:"neighbors"`
 			ElapsedNS int64           `json:"elapsed_ns"`
-			Batched   bool            `json:"batched"`
-			BatchSize int             `json:"batch_size"`
 			Error     string          `json:"error"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
@@ -381,7 +379,7 @@ func runRemote(p params) error {
 		rsp = wire.Response{
 			TraceID: jr.TraceID, Count: jr.Count, Truncated: jr.Truncated,
 			Matches: jr.Matches, Neighbors: jr.Neighbors,
-			ElapsedNS: jr.ElapsedNS, Batched: jr.Batched, BatchSize: jr.BatchSize,
+			ElapsedNS: jr.ElapsedNS,
 		}
 	}
 
@@ -404,11 +402,7 @@ func runRemote(p params) error {
 		}
 		fmt.Printf("  tid=%-8d dist=%.6f\n", n.TID, n.Dist)
 	}
-	fmt.Printf("server: trace=%d elapsed=%s", rsp.TraceID, time.Duration(rsp.ElapsedNS))
-	if rsp.Batched {
-		fmt.Printf(" batched(size=%d)", rsp.BatchSize)
-	}
-	fmt.Println()
+	fmt.Printf("server: trace=%d elapsed=%s\n", rsp.TraceID, time.Duration(rsp.ElapsedNS))
 	return nil
 }
 

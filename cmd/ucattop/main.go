@@ -186,11 +186,9 @@ func render(w io.Writer, base string, cur, prev *sample, dt time.Duration, slow 
 		cur.Counters["ucat_serve_timeouts_total"],
 		cur.Counters["ucat_serve_rejected_total"],
 		cur.Counters["ucat_serve_draining_rejects_total"])
-	fmt.Fprintf(w, "inflight %d   queued %d   batch leaders/joined %d/%d\n",
+	fmt.Fprintf(w, "inflight %d   queued %d\n",
 		cur.Gauges["ucat_serve_inflight"],
-		cur.Gauges["ucat_serve_queued"],
-		cur.Counters["ucat_serve_batch_leaders_total"],
-		cur.Counters["ucat_serve_batch_joined_total"])
+		cur.Gauges["ucat_serve_queued"])
 
 	// Shared pool health.
 	reads := cur.Counters["ucat_serve_sharedpool_reads_total"]
@@ -230,17 +228,13 @@ func render(w io.Writer, base string, cur, prev *sample, dt time.Duration, slow 
 
 	// Slowest requests, newest first (the /debug/requests order).
 	if len(slow) > 0 {
-		fmt.Fprintf(w, "\n%-8s %-12s %10s %10s %8s %8s %-8s %s\n",
-			"trace", "kind", "ms", "queue ms", "reads", "hits", "batch", "outcome")
+		fmt.Fprintf(w, "\n%-8s %-12s %10s %10s %8s %8s %s\n",
+			"trace", "kind", "ms", "queue ms", "reads", "hits", "outcome")
 		for _, r := range slow {
-			batch := r.Batch
-			if batch == "" {
-				batch = "-"
-			}
-			fmt.Fprintf(w, "%-8d %-12s %10.2f %10.2f %8d %8d %-8s %s\n",
+			fmt.Fprintf(w, "%-8d %-12s %10.2f %10.2f %8d %8d %s\n",
 				r.ID, r.Kind,
 				float64(r.LatencyNS)/1e6, float64(r.QueueNS)/1e6,
-				r.Reads, r.Hits, batch, r.Outcome)
+				r.Reads, r.Hits, r.Outcome)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func PETJ(left, right *Relation, tau float64) ([]JoinPair, error) {
 		return nil, fmt.Errorf("core: negative join threshold %g", tau)
 	}
 	if right.Kind() == InvertedIndex {
-		return petjBatched(left, right, tau)
+		return petjMultiQuery(left, right, tau)
 	}
 	var out []JoinPair
 	var qerr error
@@ -58,11 +58,11 @@ func PETJ(left, right *Relation, tau float64) ([]JoinPair, error) {
 // the cost of per-batch score-table memory.
 const petjJoinBatch = 64
 
-// petjBatched runs PETJ with multi-query optimization against an inverted
+// petjMultiQuery runs PETJ with multi-query optimization against an inverted
 // inner relation: outer tuples are grouped and each group's queries share a
 // single scan of every inverted list they touch (invidx.MultiPETQ), instead
 // of re-reading the lists once per outer tuple.
-func petjBatched(left, right *Relation, tau float64) ([]JoinPair, error) {
+func petjMultiQuery(left, right *Relation, tau float64) ([]JoinPair, error) {
 	var out []JoinPair
 	var ltids []uint32
 	var batch []uda.UDA

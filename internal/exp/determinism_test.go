@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"ucat/internal/core"
@@ -41,6 +43,59 @@ func goldenLines(t *testing.T, fig *Figure, queries int) []string {
 	return out
 }
 
+// checkFigureShape asserts that a figure run produced a well-formed table:
+// at least one series, every series with the same non-zero point count, no
+// negative or NaN I/O mean, and a text rendering that names the figure.
+func checkFigureShape(t *testing.T, fig *Figure) {
+	t.Helper()
+	if len(fig.Series) == 0 {
+		t.Fatalf("%s produced no series", fig.ID)
+	}
+	npoints := len(fig.Series[0].Points)
+	if npoints == 0 {
+		t.Fatalf("%s produced no points", fig.ID)
+	}
+	for _, s := range fig.Series {
+		if len(s.Points) != npoints {
+			t.Errorf("%s series %q has %d points, others %d", fig.ID, s.Label, len(s.Points), npoints)
+		}
+		for _, pt := range s.Points {
+			if pt.IOs < 0 || math.IsNaN(pt.IOs) {
+				t.Fatalf("%s series %q has invalid point %+v", fig.ID, s.Label, pt)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := fig.WriteTable(&buf); err != nil {
+		t.Fatalf("WriteTable: %v", err)
+	}
+	if !strings.Contains(buf.String(), fig.ID) {
+		t.Errorf("table output missing figure id:\n%s", buf.String())
+	}
+}
+
+// goldenRuns memoizes each figure's sequential run at goldenParams by
+// figure ID, so TestFiguresDeterministicUnderWorkers and
+// TestAllFiguresRunAtSmallScale pay for one run per figure between them.
+var goldenRuns sync.Map
+
+// sequentialGoldenRun returns r's run at goldenParams with Workers=1,
+// running it on first use.
+func sequentialGoldenRun(t *testing.T, r Runner) *Figure {
+	t.Helper()
+	if fig, ok := goldenRuns.Load(r.ID); ok {
+		return fig.(*Figure)
+	}
+	p := goldenParams
+	p.Workers = 1
+	fig, err := r.Run(p)
+	if err != nil {
+		t.Fatalf("%s workers=1: %v", r.ID, err)
+	}
+	goldenRuns.Store(r.ID, fig)
+	return fig
+}
+
 // TestFiguresDeterministicUnderWorkers pins Figures 4–10 to history: for
 // every figure at goldenParams, the exact I/O total of every cell must equal
 // testdata/figures.golden, sequentially and with Workers=4. Each query runs
@@ -70,13 +125,16 @@ func TestFiguresDeterministicUnderWorkers(t *testing.T) {
 				if *update && workers > 1 {
 					continue
 				}
-				p := goldenParams
-				p.Workers = workers
-				fig, err := r.Run(p)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", r.ID, workers, err)
+				fig := sequentialGoldenRun(t, r)
+				if workers > 1 {
+					p := goldenParams
+					p.Workers = workers
+					var err error
+					if fig, err = r.Run(p); err != nil {
+						t.Fatalf("%s workers=%d: %v", r.ID, workers, err)
+					}
 				}
-				got := goldenLines(t, fig, p.Queries)
+				got := goldenLines(t, fig, goldenParams.Queries)
 				if *update {
 					fresh = append(fresh, got...)
 					continue

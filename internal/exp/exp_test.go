@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"math"
-	"strings"
 	"testing"
 
 	"ucat/internal/core"
@@ -116,6 +114,9 @@ func TestParamsDefaults(t *testing.T) {
 	}
 }
 
+// TestAllFiguresRunAtSmallScale checks that every figure's sequential run
+// at goldenParams is well formed (checkFigureShape). The run is shared with
+// TestFiguresDeterministicUnderWorkers, which pins its cell values.
 func TestAllFiguresRunAtSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure suite in -short mode")
@@ -123,34 +124,7 @@ func TestAllFiguresRunAtSmallScale(t *testing.T) {
 	for _, r := range Figures {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			fig, err := r.Run(small())
-			if err != nil {
-				t.Fatalf("%s: %v", r.ID, err)
-			}
-			if len(fig.Series) == 0 {
-				t.Fatalf("%s produced no series", r.ID)
-			}
-			npoints := len(fig.Series[0].Points)
-			if npoints == 0 {
-				t.Fatalf("%s produced no points", r.ID)
-			}
-			for _, s := range fig.Series {
-				if len(s.Points) != npoints {
-					t.Errorf("%s series %q has %d points, others %d", r.ID, s.Label, len(s.Points), npoints)
-				}
-				for _, pt := range s.Points {
-					if pt.IOs < 0 || math.IsNaN(pt.IOs) {
-						t.Errorf("%s series %q has invalid point %+v", r.ID, s.Label, pt)
-					}
-				}
-			}
-			var buf bytes.Buffer
-			if err := fig.WriteTable(&buf); err != nil {
-				t.Fatalf("WriteTable: %v", err)
-			}
-			if !strings.Contains(buf.String(), fig.ID) {
-				t.Errorf("table output missing figure id:\n%s", buf.String())
-			}
+			checkFigureShape(t, sequentialGoldenRun(t, r))
 		})
 	}
 }

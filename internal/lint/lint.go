@@ -4,7 +4,8 @@
 // golang.org/x/tools dependency) and follows the shape of the go/analysis
 // ecosystem: a loader produces type-checked packages, independent checks run
 // over each package and emit diagnostics, and a runner collects, filters and
-// orders them.
+// orders them. There is no command: TestSelfHost runs every check over the
+// whole module as part of go test, and fails on any finding.
 //
 // The checks guard three classes of invariants:
 //

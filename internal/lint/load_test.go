@@ -80,8 +80,8 @@ func TestLoadRejectsBadPattern(t *testing.T) {
 }
 
 // TestSelfHost runs every check over the whole repository: the tree must
-// stay lint-clean, so a PR that introduces a violation fails `go test` even
-// before CI's dedicated ucatlint step.
+// stay lint-clean, so a change that introduces a violation fails `go test`.
+// This test is the only place the checks run.
 func TestSelfHost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repo lint type-checks the stdlib from source; skipped in -short")

@@ -12,8 +12,8 @@ import (
 // record of the last N requests a server answered, with tail-based span
 // sampling. Every request gets a monotonic trace ID and a pooled trace
 // Recorder; at completion the request's record (kind, latency, queue wait,
-// per-session I/O delta, outcome, batch fate) is filed into a lock-striped
-// ring, and its span tree is DROPPED unless the request turned out notable —
+// per-session I/O delta, outcome) is filed into a lock-striped ring, and
+// its span tree is DROPPED unless the request turned out notable —
 // slower than a per-kind self-tuning threshold (the trailing p99 bucket) or
 // non-OK — in which case the rendered tree rides along into dedicated
 // "notable" rings (slowest-per-kind, and every errored/timed-out/shed
@@ -65,11 +65,6 @@ type RequestRecord struct {
 	Hits  uint64 `json:"hits"`
 	// Results is the full answer size (before any response limit).
 	Results int `json:"results"`
-	// Batch is the request's micro-batching fate: "" (executed directly),
-	// "leader" (its traversal served the whole batch) or "rider" (coalesced
-	// onto a leader's traversal). BatchSize is the batch's waiter count.
-	Batch     string `json:"batch,omitempty"`
-	BatchSize int    `json:"batch_size,omitempty"`
 	// Slow reports that LatencyNS reached the per-kind tail-sampling
 	// threshold in force at completion.
 	Slow bool `json:"slow,omitempty"`
@@ -318,16 +313,13 @@ func (fr *FlightRecorder) SlowThreshold(kind string) time.Duration {
 
 // Complete finishes the flight: it classifies slowness against the kind's
 // threshold, keeps or drops the span tree (kept — rendered once, as text —
-// only on slow or non-OK records, or when the caller pre-set Tree, as batch
-// riders inheriting their leader's tree do), files the record into the main
-// ring and any notable ring it belongs in, feeds the threshold adaptation,
-// and recycles the handle. It returns the record exactly as filed. The
+// only on slow or non-OK records), files the record into the main ring and
+// any notable ring it belongs in, feeds the threshold adaptation, and
+// recycles the handle. It returns the record exactly as filed. The
 // Flight must not be used after Complete.
 func (f *Flight) Complete() RequestRecord {
 	fr := f.fr
-	if f.LatencyNS == 0 {
-		f.LatencyNS = fr.cfg.Now().Sub(f.Start).Nanoseconds()
-	}
+	f.LatencyNS = fr.cfg.Now().Sub(f.Start).Nanoseconds()
 	ks := fr.kindState(f.Kind)
 	ks.hist.Observe(uint64(f.LatencyNS))
 
@@ -354,14 +346,11 @@ func (f *Flight) Complete() RequestRecord {
 
 	// Tail sampling: the tree survives only on notable records.
 	notable := f.Slow || f.Outcome != OutcomeOK
-	if notable && f.Tree == "" && len(f.rec.Roots()) > 0 {
+	if notable && len(f.rec.Roots()) > 0 {
 		var b strings.Builder
 		if err := f.rec.WriteTree(&b); err == nil {
 			f.Tree = b.String()
 		}
-	}
-	if !notable {
-		f.Tree = ""
 	}
 	if fr.completed != nil {
 		fr.completed.Inc()

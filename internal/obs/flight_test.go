@@ -10,14 +10,25 @@ import (
 	"time"
 )
 
-// completeOne drives one request through the recorder with a preset latency
-// and outcome, returning the filed record.
+// stoppedClock is a recorder clock that never advances, so a flight's
+// latency is exactly what completeOne backdates its start by.
+func stoppedClock() time.Time { return time.Unix(1700000000, 0) }
+
+// newStoppedRecorder builds a recorder on stoppedClock.
+func newStoppedRecorder(cfg FlightConfig) *FlightRecorder {
+	cfg.Now = stoppedClock
+	return NewFlightRecorder(cfg)
+}
+
+// completeOne drives one request through a recorder whose clock does not
+// advance, backdating its start so it completes with latency lat and the
+// given outcome, and returns the filed record.
 func completeOne(fr *FlightRecorder, kind string, lat time.Duration, outcome string) RequestRecord {
 	f := fr.Begin(kind)
 	sp := f.Recorder().StartSpan("serve." + kind)
 	sp.Add("probes", 3)
 	sp.End()
-	f.LatencyNS = lat.Nanoseconds()
+	f.Start = f.Start.Add(-lat)
 	f.Outcome = outcome
 	if outcome != OutcomeOK {
 		f.Err = outcome + " injected"
@@ -76,13 +87,7 @@ func BenchmarkFlightNotablePath(b *testing.B) {
 }
 
 func TestTailSamplingThresholdAdaptation(t *testing.T) {
-	// Deterministic clock: latencies are preset on the flight, so the clock
-	// only feeds Start timestamps.
-	fake := time.Unix(1700000000, 0)
-	fr := NewFlightRecorder(FlightConfig{
-		AdaptEvery: 4,
-		Now:        func() time.Time { return fake },
-	})
+	fr := newStoppedRecorder(FlightConfig{AdaptEvery: 4})
 
 	// Self-tuning starts at threshold 0: the first requests of a kind are
 	// always notable, so an operator sees trees immediately after startup.
@@ -123,7 +128,7 @@ func TestTailSamplingThresholdAdaptation(t *testing.T) {
 
 func TestFixedAndKeepAllThresholds(t *testing.T) {
 	// Fixed cutoff: only requests at or beyond it are slow.
-	fixed := NewFlightRecorder(FlightConfig{SlowThreshold: time.Millisecond})
+	fixed := newStoppedRecorder(FlightConfig{SlowThreshold: time.Millisecond})
 	if rec := completeOne(fixed, "petq", time.Microsecond, OutcomeOK); rec.Slow {
 		t.Fatalf("1µs under a 1ms fixed threshold classified slow")
 	}
@@ -131,7 +136,7 @@ func TestFixedAndKeepAllThresholds(t *testing.T) {
 		t.Fatalf("2ms over a 1ms fixed threshold: want slow with a tree")
 	}
 	// Negative threshold (ucatd -slowms 0): every request keeps its tree.
-	all := NewFlightRecorder(FlightConfig{SlowThreshold: -1})
+	all := newStoppedRecorder(FlightConfig{SlowThreshold: -1})
 	if rec := completeOne(all, "petq", time.Nanosecond, OutcomeOK); !rec.Slow || rec.Tree == "" {
 		t.Fatalf("keep-everything mode dropped a tree")
 	}
@@ -139,7 +144,7 @@ func TestFixedAndKeepAllThresholds(t *testing.T) {
 
 func TestErrorsAlwaysKeepTrees(t *testing.T) {
 	// Non-OK outcomes are notable regardless of latency.
-	fr := NewFlightRecorder(FlightConfig{SlowThreshold: time.Hour})
+	fr := newStoppedRecorder(FlightConfig{SlowThreshold: time.Hour})
 	rec := completeOne(fr, "petq", time.Microsecond, OutcomeError)
 	if rec.Slow {
 		t.Fatalf("fast errored request classified slow")
@@ -154,7 +159,7 @@ func TestErrorsAlwaysKeepTrees(t *testing.T) {
 }
 
 func TestSnapshotFiltersAndLimit(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{SlowThreshold: time.Millisecond})
+	fr := newStoppedRecorder(FlightConfig{SlowThreshold: time.Millisecond})
 	for i := 0; i < 10; i++ {
 		completeOne(fr, "petq", time.Microsecond, OutcomeOK)
 	}
@@ -191,7 +196,7 @@ func TestSnapshotFiltersAndLimit(t *testing.T) {
 func TestMainRingWrapsButNotableRingsRetain(t *testing.T) {
 	// An 8-record main ring churns; the slow ring keeps the notable record
 	// retrievable by ID long after the main ring forgot it.
-	fr := NewFlightRecorder(FlightConfig{Records: 8, Stripes: 2, SlowThreshold: time.Millisecond})
+	fr := newStoppedRecorder(FlightConfig{Records: 8, Stripes: 2, SlowThreshold: time.Millisecond})
 	slow := completeOne(fr, "petq", 5*time.Millisecond, OutcomeOK)
 	for i := 0; i < 100; i++ {
 		completeOne(fr, "petq", time.Microsecond, OutcomeOK)
@@ -212,7 +217,7 @@ func TestFlightConcurrentCompletions(t *testing.T) {
 	// Hammer completions from many goroutines while snapshots and lookups
 	// race them; the race detector (CI runs this under -race) is the judge,
 	// plus a count cross-check at the end.
-	fr := NewFlightRecorder(FlightConfig{Records: 64, SlowThreshold: time.Millisecond})
+	fr := newStoppedRecorder(FlightConfig{Records: 64, SlowThreshold: time.Millisecond})
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -260,7 +265,7 @@ func newFlightMux(fr *FlightRecorder) *http.ServeMux {
 }
 
 func TestFlightHTTPListAndFilters(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{SlowThreshold: time.Millisecond})
+	fr := newStoppedRecorder(FlightConfig{SlowThreshold: time.Millisecond})
 	for i := 0; i < 5; i++ {
 		completeOne(fr, "petq", time.Microsecond, OutcomeOK)
 	}
@@ -303,7 +308,7 @@ func TestFlightHTTPListAndFilters(t *testing.T) {
 }
 
 func TestFlightHTTPByIDAndErrors(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{SlowThreshold: -1})
+	fr := newStoppedRecorder(FlightConfig{SlowThreshold: -1})
 	rec := completeOne(fr, "petq", time.Millisecond, OutcomeOK)
 	ts := httptest.NewServer(newFlightMux(fr))
 	defer ts.Close()
@@ -340,7 +345,7 @@ func TestFlightHTTPByIDAndErrors(t *testing.T) {
 
 func TestFlightMetricsFamily(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(FlightConfig{
+	fr := newStoppedRecorder(FlightConfig{
 		SlowThreshold: time.Millisecond,
 		Registry:      reg,
 		MetricsPrefix: "testflight",

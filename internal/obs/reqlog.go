@@ -71,9 +71,6 @@ func (rl *RequestLogger) Log(rec RequestRecord) {
 	if rec.Tau != 0 {
 		attrs = append(attrs, slog.Float64("tau", rec.Tau))
 	}
-	if rec.Batch != "" {
-		attrs = append(attrs, slog.String("batch", rec.Batch), slog.Int("batch_size", rec.BatchSize))
-	}
 	if rec.Slow {
 		attrs = append(attrs, slog.Bool("slow", true))
 	}

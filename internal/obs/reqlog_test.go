@@ -53,7 +53,7 @@ func TestRequestLoggerAlwaysLogsNotable(t *testing.T) {
 	rl.Log(RequestRecord{ID: 3, Kind: "petq", Outcome: OutcomeTimeout})
 	rl.Log(RequestRecord{ID: 4, Kind: "petq", Outcome: OutcomeRejected})
 	rl.Log(RequestRecord{ID: 5, Kind: "petq", Outcome: OutcomeOK, Slow: true,
-		LatencyNS: int64(5 * time.Millisecond), Tau: 0.3, Batch: "rider", BatchSize: 4})
+		LatencyNS: int64(5 * time.Millisecond), Tau: 0.3})
 	lines := logLines(t, &buf)
 	if len(lines) != 4 {
 		t.Fatalf("logged %d lines, want 4 (every record but the sampled-out success)", len(lines))
@@ -66,8 +66,8 @@ func TestRequestLoggerAlwaysLogsNotable(t *testing.T) {
 		}
 	}
 	last := lines[len(lines)-1]
-	if last["slow"] != true || last["batch"] != "rider" || last["tau"].(float64) != 0.3 {
-		t.Errorf("slow rider line missing attributes: %v", last)
+	if last["slow"] != true || last["tau"].(float64) != 0.3 {
+		t.Errorf("slow success line missing attributes: %v", last)
 	}
 }
 

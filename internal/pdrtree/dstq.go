@@ -98,9 +98,13 @@ func (r *Reader) dstq(pid pager.PageID, q uda.UDA, td float64, div uda.Divergenc
 	return nil
 }
 
-// DSTopK returns the k tuples distributionally closest to q (DSQ-top-k),
-// descending best-first into the child with the smallest distance lower
-// bound so the pruning threshold tightens early.
+// DSTopK returns the k tuples distributionally closest to q (DSQ-top-k) by
+// a greedy depth-first search: at each internal node it recurses into the
+// children in ascending order of their distance lower bound, finishing one
+// subtree before starting the next, and stops at the first child whose
+// bound exceeds the current k-th distance. There is no global priority queue
+// across subtrees; visiting the most promising child first only makes the
+// pruning threshold tighten early.
 func (r *Reader) DSTopK(q uda.UDA, k int, div uda.Divergence) ([]query.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("pdrtree: non-positive k %d", k)

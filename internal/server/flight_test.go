@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ucat/internal/core"
 	"ucat/internal/obs"
 )
 
@@ -159,99 +157,6 @@ func TestFlightIODeltasMatchPoolStats(t *testing.T) {
 	}
 	if reads+hits == 0 {
 		t.Fatalf("queries did no page fetches at all; the pin is vacuous")
-	}
-}
-
-// TestBatchRiderFlightRecords drives one coalesced batch deterministically
-// (executeBatch directly, no timing window) and checks the rider contract:
-// every waiter's answer is bit-identical to direct execution, and the flight
-// records share the leader's traversal — same reads, hits, batch size and
-// span tree, each under its own trace ID.
-func TestBatchRiderFlightRecords(t *testing.T) {
-	rel := buildRelation(t, core.InvertedIndex, 400)
-	s, _ := newTestServer(t, Config{Relation: rel, SlowThreshold: -1})
-
-	q := mustUDA(t, "0:0.5,1:0.5")
-	taus := []float64{0.3, 0.4, 0.5, 0.6}
-	waiters := make([]*request, len(taus))
-	for i, tau := range taus {
-		req := &request{
-			kind: "petq", q: q, tau: tau, limit: defaultAnswerLimit,
-			ctx: context.Background(), done: make(chan result, 1), enq: time.Now(),
-		}
-		req.flight = s.flight.Begin("petq")
-		req.flight.Tau = tau
-		req.id = req.flight.ID
-		waiters[i] = req
-	}
-	s.executeBatch(&batch{key: waiters[0].key, kind: "petq", q: q, waiters: waiters})
-
-	var leader obs.RequestRecord
-	recs := make([]obs.RequestRecord, len(waiters))
-	for i, w := range waiters {
-		var res result
-		select {
-		case res = <-w.done:
-		default:
-			t.Fatalf("waiter %d got no result", i)
-		}
-		if res.status != http.StatusOK {
-			t.Fatalf("waiter %d: status %d (%+v)", i, res.status, res.body)
-		}
-		if !res.body.Batched || res.body.BatchSize != len(waiters) {
-			t.Fatalf("waiter %d not served as a batch of %d: %+v", i, len(waiters), res.body)
-		}
-		if res.body.TraceID != w.id || res.rec.ID != w.id {
-			t.Fatalf("waiter %d answered under trace %d/%d, want its own %d",
-				i, res.body.TraceID, res.rec.ID, w.id)
-		}
-		recs[i] = res.rec
-		if i == 0 {
-			leader = res.rec
-		}
-
-		// Bit-identical to direct execution, rider or leader.
-		want, err := rel.PETQ(q, taus[i])
-		if err != nil {
-			t.Fatalf("direct PETQ: %v", err)
-		}
-		if len(res.body.Matches) != len(want) {
-			t.Fatalf("tau=%g served %d answers, direct %d", taus[i], len(res.body.Matches), len(want))
-		}
-		for j, m := range res.body.Matches {
-			if m.TID != want[j].TID || m.Prob != want[j].Prob {
-				t.Fatalf("tau=%g answer %d differs: served %v, direct %v", taus[i], j, m, want[j])
-			}
-		}
-	}
-
-	if leader.Batch != "leader" {
-		t.Fatalf("first waiter filed as %q, want leader", leader.Batch)
-	}
-	if leader.Tree == "" || !strings.Contains(leader.Tree, "serve.petq.batch") {
-		t.Fatalf("leader record missing the batch traversal tree: %q", leader.Tree)
-	}
-	for i, r := range recs[1:] {
-		if r.Batch != "rider" {
-			t.Fatalf("waiter %d filed as %q, want rider", i+1, r.Batch)
-		}
-		if r.Reads != leader.Reads || r.Hits != leader.Hits {
-			t.Fatalf("rider %d io (%d,%d) differs from leader (%d,%d)",
-				i+1, r.Reads, r.Hits, leader.Reads, leader.Hits)
-		}
-		if r.Tree != leader.Tree {
-			t.Fatalf("rider %d does not inherit the leader's span tree", i+1)
-		}
-		if r.BatchSize != len(waiters) {
-			t.Fatalf("rider %d batch size %d, want %d", i+1, r.BatchSize, len(waiters))
-		}
-	}
-
-	// Every record is retrievable from the recorder under its own ID.
-	for _, w := range waiters {
-		if _, ok := s.flight.Get(w.id); !ok {
-			t.Fatalf("trace %d not retained by the flight recorder", w.id)
-		}
 	}
 }
 

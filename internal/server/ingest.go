@@ -7,7 +7,7 @@ package server
 // HTTP handler's), NOT through the query worker pool: Apply blocks on the
 // group-commit fsync, and parking query workers under it would starve reads;
 // concurrent ingest handlers instead coalesce into shared fsyncs via the
-// WAL's leader/rider protocol, mirroring the query micro-batcher's shape.
+// WAL's leader/rider protocol.
 
 import (
 	"encoding/json"

@@ -30,10 +30,6 @@ type metrics struct {
 	inflight *obs.Gauge // ucat_serve_inflight — admitted, not yet answered
 	queued   *obs.Gauge // ucat_serve_queued — sitting in the admission queue
 
-	// Batcher.
-	batchLeaders *obs.Counter // ucat_serve_batch_leaders_total — coalesced traversals executed
-	batchJoined  *obs.Counter // ucat_serve_batch_joined_total — probes that rode along
-
 	// Per-request I/O, summed from each request's Session tally as it
 	// finishes. The raw shared-pool lifetime totals live under
 	// ucat_serve_sharedpool_* (see registerPoolMetrics); every serving fetch
@@ -78,17 +74,15 @@ func newMetrics(reg *obs.Registry) *metrics {
 			protoJSON:   reg.Counter("ucat_serve_proto_requests_total_json"),
 			protoBinary: reg.Counter("ucat_serve_proto_requests_total_binary"),
 		},
-		inflight:     reg.Gauge("ucat_serve_inflight"),
-		queued:       reg.Gauge("ucat_serve_queued"),
-		batchLeaders: reg.Counter("ucat_serve_batch_leaders_total"),
-		batchJoined:  reg.Counter("ucat_serve_batch_joined_total"),
-		readIOs:      reg.Counter("ucat_serve_read_ios_total"),
-		poolHits:     reg.Counter("ucat_serve_pool_hits_total"),
-		latency:      reg.Histogram("ucat_serve_latency_ns"),
-		queueWait:    reg.Histogram("ucat_serve_queue_wait_ns"),
-		perKind:      make(map[string]*obs.Histogram, len(queryKinds)),
-		httpHealthz:  reg.Counter("ucat_serve_http_healthz_total"),
-		httpStats:    reg.Counter("ucat_serve_http_stats_total"),
+		inflight:    reg.Gauge("ucat_serve_inflight"),
+		queued:      reg.Gauge("ucat_serve_queued"),
+		readIOs:     reg.Counter("ucat_serve_read_ios_total"),
+		poolHits:    reg.Counter("ucat_serve_pool_hits_total"),
+		latency:     reg.Histogram("ucat_serve_latency_ns"),
+		queueWait:   reg.Histogram("ucat_serve_queue_wait_ns"),
+		perKind:     make(map[string]*obs.Histogram, len(queryKinds)),
+		httpHealthz: reg.Counter("ucat_serve_http_healthz_total"),
+		httpStats:   reg.Counter("ucat_serve_http_stats_total"),
 	}
 	for _, kind := range queryKinds {
 		m.perKind[kind] = reg.Histogram("ucat_serve_latency_ns_" + kind)

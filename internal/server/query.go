@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
@@ -57,8 +56,7 @@ type WireNeighbor = wire.Neighbor
 
 // WireIO is the per-request I/O attribution: the local tally of the
 // pager.Session the request fetched through, exact regardless of what other
-// requests did to the shared pool meanwhile. For batched requests it is the
-// cost of the shared traversal, reported to every rider.
+// requests did to the shared pool meanwhile.
 type WireIO struct {
 	Reads   uint64  `json:"reads"`
 	Hits    uint64  `json:"hits"`
@@ -78,8 +76,6 @@ type QueryResponse struct {
 	Neighbors []WireNeighbor `json:"neighbors,omitempty"`
 	IO        *WireIO        `json:"io,omitempty"`
 	ElapsedNS int64          `json:"elapsed_ns"`
-	Batched   bool           `json:"batched,omitempty"`
-	BatchSize int            `json:"batch_size,omitempty"`
 	Slow      bool           `json:"slow,omitempty"`
 	Explain   string         `json:"explain,omitempty"`
 	Error     string         `json:"error,omitempty"`
@@ -97,7 +93,6 @@ type request struct {
 	div     uda.Divergence
 	limit   int
 	explain bool
-	key     string // batch-compatibility key ("" for unbatchable kinds)
 	proto   string // negotiated wire protocol: protoJSON or protoBinary
 
 	ctx  context.Context
@@ -105,9 +100,9 @@ type request struct {
 	enq  time.Time
 
 	// flight is the request's flight-recorder handle. Ownership transfers
-	// with the request: once the handler hands the request to the batcher or
-	// the queue, only the executing side may touch flight (Complete recycles
-	// it); the handler keeps the plain id copy for its own logging.
+	// with the request: once the handler hands the request to the queue,
+	// only the executing side may touch flight (Complete recycles it); the
+	// handler keeps the plain id copy for its own logging.
 	flight *obs.Flight
 	id     uint64
 }
@@ -128,14 +123,12 @@ func (req *request) deliver(res result) {
 	}
 }
 
-// task is one unit of worker work: either a single request or a coalesced
-// PETQ batch (exactly one of the fields is set). gate is a test-only hook:
-// a worker that receives a gated task parks on the channel, which lets the
-// admission tests fill the queue and exercise overflow deterministically.
+// task is one unit of worker work: a single request. gate is a test-only
+// hook: a worker that receives a gated task parks on the channel, which lets
+// the admission tests fill the queue and exercise overflow deterministically.
 type task struct {
-	req   *request
-	batch *batch
-	gate  chan struct{}
+	req  *request
+	gate chan struct{}
 }
 
 // defaultAnswerLimit caps the answers returned when the request does not
@@ -219,9 +212,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Past this point the executing side owns req.flight; the handler only
 	// reads the plain req.id/req.kind copies (Complete recycles the handle,
 	// so a handler touching it after handoff would race the next request).
-	if s.batcher != nil && req.key != "" && !req.explain {
-		s.batcher.submit(req)
-	} else if !s.enqueue(&task{req: req}) {
+	if !s.enqueue(&task{req: req}) {
 		s.reject(req)
 	}
 
@@ -313,8 +304,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request) (*request, i
 }
 
 // reject completes a request's flight as rejected and delivers the
-// admission-queue-overflow answer. Callers (the handler on direct enqueue
-// overflow, the batcher on dispatch overflow) own the flight at this point.
+// admission-queue-overflow answer. The handler calls it on enqueue overflow,
+// when it still owns the flight.
 func (s *Server) reject(req *request) {
 	const msg = "admission queue full; retry later"
 	req.flight.Outcome = obs.OutcomeRejected
@@ -364,8 +355,7 @@ func parseRequest(qr *QueryRequest) (*request, error) {
 }
 
 // validateRequest applies the per-kind parameter rules shared by both
-// protocols, fills parameter defaults, and computes the batch-compatibility
-// key for the batchable kinds (petq, topk, window).
+// protocols and fills parameter defaults.
 func validateRequest(req *request) error {
 	if req.limit == 0 {
 		req.limit = defaultAnswerLimit
@@ -378,12 +368,10 @@ func validateRequest(req *request) error {
 		if req.tau < 0 || req.tau > 1 {
 			return fmt.Errorf("petq: tau %g outside [0,1]", req.tau)
 		}
-		req.key = batchKey('p', 0, req.q)
 	case "topk":
 		if req.k <= 0 {
 			return fmt.Errorf("topk: k must be positive, got %d", req.k)
 		}
-		req.key = batchKey('k', 0, req.q)
 	case "window":
 		if req.c == 0 {
 			return fmt.Errorf("window: c must be positive (c=0 is plain petq)")
@@ -391,7 +379,6 @@ func validateRequest(req *request) error {
 		if req.tau < 0 || req.tau > 1 {
 			return fmt.Errorf("window: tau %g outside [0,1]", req.tau)
 		}
-		req.key = batchKey('w', req.c, req.q)
 	case "windowtopk":
 		if req.c == 0 {
 			return fmt.Errorf("windowtopk: c must be positive")
@@ -414,28 +401,6 @@ func validateRequest(req *request) error {
 	return nil
 }
 
-// batchKey is the micro-batcher's compatibility key: two probes of the same
-// kind with bit-identical distributions — and, for window, the same window
-// radius, since probabilities depend on it — may share one traversal
-// (uda.New keeps pairs sorted by item, so the rendering is canonical). The
-// kind tag keeps a petq and a topk over the same distribution apart.
-func batchKey(kind byte, c uint32, q uda.UDA) string {
-	pairs := q.Pairs()
-	b := make([]byte, 0, 16+20*len(pairs))
-	b = append(b, kind, '|')
-	if c > 0 {
-		b = strconv.AppendUint(b, uint64(c), 10)
-		b = append(b, '|')
-	}
-	for _, p := range pairs {
-		b = strconv.AppendUint(b, uint64(p.Item), 10)
-		b = append(b, ':')
-		b = strconv.AppendUint(b, math.Float64bits(p.Prob), 16)
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
 // worker is one query executor: it drains the admission queue until
 // Shutdown, running every task through a fresh per-request Session over the
 // server's shared pool (so hot pages are cached once, process-wide, while
@@ -448,8 +413,6 @@ func (s *Server) worker() {
 			s.met.queued.Add(-1)
 			if t.gate != nil {
 				<-t.gate
-			} else if t.batch != nil {
-				s.executeBatch(t.batch)
 			} else {
 				s.executeOne(t.req)
 			}

@@ -6,7 +6,7 @@
 // The design composes the machinery earlier PRs built for the experiment
 // harness into a production request path:
 //
-//	request → admission queue → (optional PETQ micro-batcher) → worker
+//	request → admission queue → worker
 //	        → pager.Session over the shared pool → core.Reader.WithContext → answer
 //
 // All workers share ONE large striped buffer pool over the relation's page
@@ -35,10 +35,6 @@
 //     Content-Type whose response path is allocation-free in steady state —
 //     pooled frame buffers, append-style encoders, no encoding/json and no
 //     fmt (TestWireEncodePathAllocs pins it);
-//   - micro-batching: compatible probes of the batchable kinds (petq, topk,
-//     window — same kind and distribution, any threshold or k) arriving
-//     within a small window coalesce into one index traversal at the widest
-//     parameter, each waiter receiving its own bit-identical carved answer;
 //   - graceful drain: Shutdown stops admitting, finishes every in-flight
 //     request, then stops the workers;
 //   - observability: per-endpoint latency, inflight, queue-wait and
@@ -122,16 +118,6 @@ type Config struct {
 	// MaxTimeout caps client-requested deadlines. 0 means 30s.
 	MaxTimeout time.Duration
 
-	// BatchWindow is the micro-batching window for the batchable kinds
-	// (petq, topk, window): compatible probes arriving within it coalesce
-	// into one index traversal. 0 disables the batcher (the default —
-	// batching trades a little latency for throughput and should be an
-	// explicit choice).
-	BatchWindow time.Duration
-
-	// BatchMax caps how many probes one traversal may serve. 0 means 16.
-	BatchMax int
-
 	// RetryAfter is the hint attached to 429 responses. 0 means 1s.
 	RetryAfter time.Duration
 
@@ -182,9 +168,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 16
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
@@ -211,7 +194,7 @@ type serveEpoch struct {
 }
 
 // Server is the HTTP query engine: an http.Handler owning the worker pool,
-// admission queue, micro-batcher, metrics, and — on live servers — the
+// admission queue, metrics, and — on live servers — the
 // durable write path and the serving-epoch swap that follows each fold.
 type Server struct {
 	cfg       Config
@@ -220,7 +203,6 @@ type Server struct {
 	mux       *http.ServeMux
 	queue     chan *task
 	quit      chan struct{} // closed after drain; releases the workers
-	batcher   *batcher      // nil when BatchWindow is 0
 	met       *metrics
 	flight    *obs.FlightRecorder // always-on request flight recorder
 	reqlog    *obs.RequestLogger  // nil when Config.Logger is nil
@@ -285,9 +267,6 @@ func New(cfg Config) (*Server, error) {
 		MetricsPrefix: "ucat_serve_flight",
 	})
 	s.reqlog = obs.NewRequestLogger(cfg.Logger, cfg.LogSample)
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.BatchMax)
-	}
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -364,10 +343,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			// Every admitted request holds a gate reference until its
 			// handler returns, and the gate refuses new entries once
 			// closed — so after drain nothing new reaches the queue and
-			// the workers can be released. The queue channel itself is
-			// never closed: a straggling batch-timer flush may still
-			// attempt a send, which must fail cleanly (draining check)
-			// rather than panic on a closed channel.
+			// the workers can be released.
 			s.gate.drain()
 			close(s.quit)
 		}()
@@ -432,8 +408,6 @@ type configStats struct {
 	PoolPolicy       string `json:"pool_policy"`
 	DefaultTimeoutMS int64  `json:"default_timeout_ms"`
 	MaxTimeoutMS     int64  `json:"max_timeout_ms"`
-	BatchWindowUS    int64  `json:"batch_window_us"`
-	BatchMax         int    `json:"batch_max"`
 }
 
 // poolStats is the shared buffer pool's health picture: lifetime totals from
@@ -463,19 +437,17 @@ type liveStats struct {
 
 // totalStats is the monotonic request accounting since boot.
 type totalStats struct {
-	Requests     uint64 `json:"requests"`
-	JSONReqs     uint64 `json:"json_requests"`
-	BinaryReqs   uint64 `json:"binary_requests"`
-	Completed    uint64 `json:"completed"`
-	Rejected     uint64 `json:"rejected"`
-	Timeouts     uint64 `json:"timeouts"`
-	BadRequests  uint64 `json:"bad_requests"`
-	Errors       uint64 `json:"errors"`
-	Draining     uint64 `json:"draining_rejects"`
-	BatchLeaders uint64 `json:"batch_leaders"`
-	BatchJoined  uint64 `json:"batch_joined"`
-	ReadIOs      uint64 `json:"read_ios"`
-	PoolHits     uint64 `json:"pool_hits"`
+	Requests    uint64 `json:"requests"`
+	JSONReqs    uint64 `json:"json_requests"`
+	BinaryReqs  uint64 `json:"binary_requests"`
+	Completed   uint64 `json:"completed"`
+	Rejected    uint64 `json:"rejected"`
+	Timeouts    uint64 `json:"timeouts"`
+	BadRequests uint64 `json:"bad_requests"`
+	Errors      uint64 `json:"errors"`
+	Draining    uint64 `json:"draining_rejects"`
+	ReadIOs     uint64 `json:"read_ios"`
+	PoolHits    uint64 `json:"pool_hits"`
 }
 
 // ingestStats is the live write path's health picture (live servers only):
@@ -561,8 +533,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PoolPolicy:       ep.pool.Policy().String(),
 			DefaultTimeoutMS: s.cfg.DefaultTimeout.Milliseconds(),
 			MaxTimeoutMS:     s.cfg.MaxTimeout.Milliseconds(),
-			BatchWindowUS:    s.cfg.BatchWindow.Microseconds(),
-			BatchMax:         s.cfg.BatchMax,
 		},
 		Ingest: s.ingestSnapshot(),
 		Live: liveStats{
@@ -571,19 +541,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Draining: s.draining.Load(),
 		},
 		Totals: totalStats{
-			Requests:     s.met.requests.Value(),
-			JSONReqs:     s.met.protoRequests[protoJSON].Value(),
-			BinaryReqs:   s.met.protoRequests[protoBinary].Value(),
-			Completed:    s.met.completed.Value(),
-			Rejected:     s.met.rejected.Value(),
-			Timeouts:     s.met.timeouts.Value(),
-			BadRequests:  s.met.badRequests.Value(),
-			Errors:       s.met.errors.Value(),
-			Draining:     s.met.drainRejects.Value(),
-			BatchLeaders: s.met.batchLeaders.Value(),
-			BatchJoined:  s.met.batchJoined.Value(),
-			ReadIOs:      s.met.readIOs.Value(),
-			PoolHits:     s.met.poolHits.Value(),
+			Requests:    s.met.requests.Value(),
+			JSONReqs:    s.met.protoRequests[protoJSON].Value(),
+			BinaryReqs:  s.met.protoRequests[protoBinary].Value(),
+			Completed:   s.met.completed.Value(),
+			Rejected:    s.met.rejected.Value(),
+			Timeouts:    s.met.timeouts.Value(),
+			BadRequests: s.met.badRequests.Value(),
+			Errors:      s.met.errors.Value(),
+			Draining:    s.met.drainRejects.Value(),
+			ReadIOs:     s.met.readIOs.Value(),
+			PoolHits:    s.met.poolHits.Value(),
 		},
 		Pool: poolSnapshot(ep.pool),
 		Latency: latencyStats{

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -318,63 +317,6 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
-func TestBatcherCoalesces(t *testing.T) {
-	rel := buildRelation(t, core.InvertedIndex, 400)
-	s, ts := newTestServer(t, Config{
-		Relation:    rel,
-		Workers:     2,
-		BatchWindow: 250 * time.Millisecond,
-		BatchMax:    16,
-	})
-
-	taus := []float64{0.3, 0.4, 0.5, 0.6}
-	var wg sync.WaitGroup
-	results := make([]QueryResponse, len(taus))
-	statuses := make([]int, len(taus))
-	for i, tau := range taus {
-		wg.Add(1)
-		go func(i int, tau float64) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"kind":"petq","query":"0:0.5,1:0.5","tau":%g,"timeout_ms":5000}`, tau)
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				statuses[i] = -1
-				return
-			}
-			defer resp.Body.Close()
-			statuses[i] = resp.StatusCode
-			_ = json.NewDecoder(resp.Body).Decode(&results[i])
-		}(i, tau)
-	}
-	wg.Wait()
-
-	for i, tau := range taus {
-		if statuses[i] != http.StatusOK {
-			t.Fatalf("tau=%g status %d", tau, statuses[i])
-		}
-		if !results[i].Batched {
-			t.Fatalf("tau=%g answer not batched", tau)
-		}
-		// Riders must receive exactly what a direct PETQ would.
-		want, err := rel.PETQ(mustUDA(t, "0:0.5,1:0.5"), tau)
-		if err != nil {
-			t.Fatalf("direct PETQ: %v", err)
-		}
-		if results[i].Count != len(want) {
-			t.Fatalf("tau=%g served %d answers, direct %d", tau, results[i].Count, len(want))
-		}
-		for j, m := range results[i].Matches {
-			if m.TID != want[j].TID || m.Prob != want[j].Prob {
-				t.Fatalf("tau=%g answer %d differs: served %v, direct %v", tau, j, m, want[j])
-			}
-		}
-	}
-	if s.met.batchJoined.Value() == 0 {
-		t.Fatalf("no probe ever joined a batch (leaders=%d joined=%d)",
-			s.met.batchLeaders.Value(), s.met.batchJoined.Value())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ucat/internal/core"
 	"ucat/internal/obs"
@@ -19,7 +18,7 @@ import (
 // stripe and several, deliberately undersized frames (so victim scans run
 // constantly while concurrent requests hold pins) and roomier ones — the
 // server must answer concurrent PETQ probes bit-identically to direct
-// relation execution, with the micro-batcher on to maximize interleaving.
+// relation execution.
 func TestSharedPoolContentionDeterminism(t *testing.T) {
 	queries := []string{"0:1.0", "3:0.7,4:0.3", "1:0.25,2:0.25,3:0.5", "7:0.9,0:0.1", "5:0.5,6:0.5"}
 	geometries := []struct{ stripes, frames int }{{2, 24}, {1, 24}, {4, 64}}
@@ -32,7 +31,6 @@ func TestSharedPoolContentionDeterminism(t *testing.T) {
 						PoolFrames:  g.frames, // the relation spans far more pages
 						PoolStripes: g.stripes,
 						PoolPolicy:  pol.String(),
-						BatchWindow: 200 * time.Microsecond,
 					})
 				})
 			}

@@ -10,11 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"ucat/internal/core"
 	"ucat/internal/uda"
 	"ucat/internal/wire"
 )
@@ -316,116 +314,6 @@ func TestWireHalfWrittenResponse(t *testing.T) {
 	}
 }
 
-// TestWireBatchRiderCorrectness coalesces concurrent same-distribution topk
-// and window probes (run under -race in CI) and checks every rider's answer
-// bit-for-bit against direct execution.
-func TestWireBatchRiderCorrectness(t *testing.T) {
-	rel := buildRelation(t, core.InvertedIndex, 400)
-	s, ts := newTestServer(t, Config{
-		Relation:    rel,
-		Workers:     2,
-		BatchWindow: 250 * time.Millisecond,
-		BatchMax:    16,
-	})
-
-	t.Run("topk", func(t *testing.T) {
-		ks := []int{1, 3, 5, 8}
-		results := make([]wire.Response, len(ks))
-		var wg sync.WaitGroup
-		for i, k := range ks {
-			wg.Add(1)
-			go func(i, k int) {
-				defer wg.Done()
-				results[i] = postWire(t, ts, &wire.Request{Kind: wire.KindTopK,
-					Pairs: pairs(t, "0:0.5,1:0.5"), K: k, TimeoutMS: 5000})
-			}(i, k)
-		}
-		wg.Wait()
-		for i, k := range ks {
-			wr := results[i]
-			if wr.Status != 0 {
-				t.Fatalf("k=%d: in-band status %d (%s)", k, wr.Status, wr.Err)
-			}
-			if !wr.Batched {
-				t.Fatalf("k=%d: answer not batched", k)
-			}
-			want, err := rel.TopK(mustUDA(t, "0:0.5,1:0.5"), k)
-			if err != nil {
-				t.Fatalf("direct TopK: %v", err)
-			}
-			if len(wr.Matches) != len(want) {
-				t.Fatalf("k=%d: served %d answers, direct %d", k, len(wr.Matches), len(want))
-			}
-			for j, m := range wr.Matches {
-				if m.TID != want[j].TID || m.Prob != want[j].Prob {
-					t.Fatalf("k=%d answer %d differs: served %v, direct %v", k, j, m, want[j])
-				}
-			}
-		}
-	})
-
-	t.Run("window", func(t *testing.T) {
-		taus := []float64{0.2, 0.35, 0.5, 0.65}
-		results := make([]wire.Response, len(taus))
-		var wg sync.WaitGroup
-		for i, tau := range taus {
-			wg.Add(1)
-			go func(i int, tau float64) {
-				defer wg.Done()
-				results[i] = postWire(t, ts, &wire.Request{Kind: wire.KindWindow,
-					Pairs: pairs(t, "2:1.0"), C: 1, Tau: tau, TimeoutMS: 5000})
-			}(i, tau)
-		}
-		wg.Wait()
-		for i, tau := range taus {
-			wr := results[i]
-			if wr.Status != 0 {
-				t.Fatalf("tau=%g: in-band status %d (%s)", tau, wr.Status, wr.Err)
-			}
-			if !wr.Batched {
-				t.Fatalf("tau=%g: answer not batched", tau)
-			}
-			want, err := rel.WindowPETQ(mustUDA(t, "2:1.0"), 1, tau)
-			if err != nil {
-				t.Fatalf("direct WindowPETQ: %v", err)
-			}
-			if len(wr.Matches) != len(want) {
-				t.Fatalf("tau=%g: served %d answers, direct %d", tau, len(wr.Matches), len(want))
-			}
-			for j, m := range wr.Matches {
-				if m.TID != want[j].TID || m.Prob != want[j].Prob {
-					t.Fatalf("tau=%g answer %d differs: served %v, direct %v", tau, j, m, want[j])
-				}
-			}
-		}
-	})
-
-	// Differing window radii must NOT share a traversal: the batch keys
-	// diverge, so both run (possibly as singleton batches) with correct
-	// per-radius answers.
-	t.Run("window-radius-isolation", func(t *testing.T) {
-		for _, c := range []uint32{1, 2} {
-			wr := postWire(t, ts, &wire.Request{Kind: wire.KindWindow,
-				Pairs: pairs(t, "3:1.0"), C: c, Tau: 0.3, TimeoutMS: 5000})
-			if wr.Status != 0 {
-				t.Fatalf("c=%d: in-band status %d (%s)", c, wr.Status, wr.Err)
-			}
-			want, err := rel.WindowPETQ(mustUDA(t, "3:1.0"), c, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wr.Matches) != len(want) {
-				t.Fatalf("c=%d: served %d answers, direct %d", c, len(wr.Matches), len(want))
-			}
-		}
-	})
-
-	if s.met.batchJoined.Value() == 0 {
-		t.Fatalf("no probe ever joined a batch (leaders=%d joined=%d)",
-			s.met.batchLeaders.Value(), s.met.batchJoined.Value())
-	}
-}
-
 // nullWriter is the steady-state ResponseWriter stand-in for the alloc pin:
 // header map pre-built, writes discarded.
 type nullWriter struct{ hdr http.Header }
@@ -458,4 +346,44 @@ func TestWireEncodePathAllocs(t *testing.T) {
 		t.Fatalf("writeBinary: %v allocs/request, want <= 2 (target 0)", allocs)
 	}
 	t.Logf("writeBinary: %v allocs/request over a 64-match answer", allocs)
+}
+
+// TestWireDecodePathAllocs pins the binary request decode path — frame
+// header, body decode into a reused wire.Request, then parseWireRequest with
+// its validateRequest — for the three equality kinds. The five allocations
+// measured are the request struct, uda.New's copy of the distribution and
+// the three of its sort.Slice call; a new allocation on this path fails the
+// test.
+func TestWireDecodePathAllocs(t *testing.T) {
+	pairs := []uda.Pair{{Item: 3, Prob: 0.5}, {Item: 9, Prob: 0.3}, {Item: 12, Prob: 0.2}}
+	var wr wire.Request
+	for _, tc := range []struct {
+		name string
+		req  wire.Request
+	}{
+		{"petq", wire.Request{Kind: wire.KindPETQ, Pairs: pairs, Tau: 0.2}},
+		{"topk", wire.Request{Kind: wire.KindTopK, Pairs: pairs, K: 10}},
+		{"window", wire.Request{Kind: wire.KindWindow, Pairs: pairs, C: 2, Tau: 0.1}},
+	} {
+		frame := wire.AppendRequest(nil, &tc.req)
+		decode := func() {
+			_, body, err := wire.DecodeFrame(frame)
+			if err == nil {
+				err = wire.DecodeRequest(body, &wr)
+			}
+			if err == nil {
+				_, err = parseWireRequest(&wr)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		decode() // size wr.Pairs outside the measured region
+		const ceiling = 5
+		if allocs := testing.AllocsPerRun(1000, decode); allocs > ceiling {
+			t.Errorf("%s: decode + validate = %v allocs/request, want <= %d", tc.name, allocs, ceiling)
+		} else {
+			t.Logf("%s: decode + validate = %v allocs/request", tc.name, allocs)
+		}
+	}
 }

@@ -137,8 +137,6 @@ func appendWireResponse(dst []byte, status, retrySecs int, body *QueryResponse) 
 		Matches:   body.Matches,
 		Neighbors: body.Neighbors,
 		ElapsedNS: body.ElapsedNS,
-		Batched:   body.Batched,
-		BatchSize: body.BatchSize,
 		Slow:      body.Slow,
 		Explain:   body.Explain,
 	}

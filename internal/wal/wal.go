@@ -15,8 +15,7 @@
 // buffers records and assigns LSNs but promises nothing; Sync(lsn) returns
 // only once every record up to lsn is on stable storage. Concurrent Sync
 // callers coalesce — one becomes the fsync leader, the rest ride on its
-// barrier — mirroring the query micro-batcher's leader/rider shape. Any
-// path that appends must reach a Sync before acknowledging; core.Live.Apply
+// barrier. Any path that appends must reach a Sync before acknowledging; core.Live.Apply
 // is the only production one.
 //
 // Replay (DURABILITY.md §7) rebuilds the suffix of the operation stream after

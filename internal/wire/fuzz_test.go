@@ -20,6 +20,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{Kind: KindTopK, TraceID: 7, Count: 1,
 		Matches: []Match{{TID: 4, Prob: 1}}, HasIO: true, Reads: 2, Hits: 1}))
 	f.Add(AppendResponse(nil, &Response{Kind: KindWindow, Status: 503, RetryAfterSec: 1, Err: "draining"}))
+	retired := AppendResponse(nil, &Response{Kind: KindPETQ, Count: 1, Matches: []Match{{TID: 1, Prob: 1}}})
+	retired[HeaderLen+1] |= 1 << 1 // the retired response flag bit
+	f.Add(retired)
 	f.Add([]byte{'U', 'W', Version, FrameQuery, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{'U', 'W', Version, FrameQuery, 0, 0, 0, 0})
 	f.Add([]byte{})

@@ -129,6 +129,7 @@ var (
 	ErrBadDivergence = errors.New("wire: unknown divergence code")
 	ErrValueRange    = errors.New("wire: integer field out of range")
 	ErrTrailingBytes = errors.New("wire: trailing bytes after body")
+	ErrUnknownFlags  = errors.New("wire: unknown flag bit set")
 )
 
 // Request is a decoded query frame. Pairs is the raw distribution — the
@@ -178,23 +179,29 @@ type Response struct {
 	Reads         uint64
 	Hits          uint64
 	ElapsedNS     int64
-	Batched       bool
-	BatchSize     int
 	Slow          bool
 	Explain       string
 }
 
-// Request body flags.
-const flagReqExplain = 1 << 0
+// Request body flags. A decoder rejects any bit outside reqFlags with
+// ErrUnknownFlags rather than ignoring it.
+const (
+	flagReqExplain = 1 << 0
 
-// Response body flags.
+	reqFlags = flagReqExplain
+)
+
+// Response body flags. Bit 1<<1 is retired (it once marked a response whose
+// traversal was shared with other requests) and must not be reused: a
+// decoder rejects it, and every bit outside respFlags, with ErrUnknownFlags.
 const (
 	flagTruncated = 1 << 0
-	flagBatched   = 1 << 1
 	flagSlow      = 1 << 2
 	flagErr       = 1 << 3
 	flagExplain   = 1 << 4
 	flagIO        = 1 << 5
+
+	respFlags = flagTruncated | flagSlow | flagErr | flagExplain | flagIO
 )
 
 // minPairBytes is the smallest possible encoding of one (id, float64) element
@@ -307,9 +314,6 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	if resp.Truncated {
 		flags |= flagTruncated
 	}
-	if resp.Batched {
-		flags |= flagBatched
-	}
 	if resp.Slow {
 		flags |= flagSlow
 	}
@@ -345,9 +349,6 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 		b = binary.AppendUvarint(b, resp.Hits)
 	}
 	b = binary.AppendUvarint(b, uint64(resp.ElapsedNS))
-	if resp.Batched {
-		b = binary.AppendUvarint(b, uint64(resp.BatchSize))
-	}
 	if resp.Explain != "" {
 		b = appendString(b, resp.Explain)
 	}
@@ -446,7 +447,7 @@ func (c *cursor) uint32v() uint32 {
 }
 
 // intv decodes a varint that must fit a non-negative int32 — the range of
-// every count-like field (k, limit, counts, status, batch size).
+// every count-like field (k, limit, counts, status).
 func (c *cursor) intv() int {
 	v := c.uvarint()
 	if v > math.MaxInt32 {
@@ -505,6 +506,9 @@ func DecodeRequest(body []byte, req *Request) error {
 		return ErrBadKind
 	}
 	flags := c.byte()
+	if c.err == nil && flags&^reqFlags != 0 {
+		return ErrUnknownFlags
+	}
 	req.Kind = k
 	req.Explain = flags&flagReqExplain != 0
 	t := c.uvarint()
@@ -558,9 +562,11 @@ func DecodeResponse(body []byte, resp *Response) error {
 		return ErrBadKind
 	}
 	flags := c.byte()
+	if c.err == nil && flags&^respFlags != 0 {
+		return ErrUnknownFlags
+	}
 	resp.Kind = k
 	resp.Truncated = flags&flagTruncated != 0
-	resp.Batched = flags&flagBatched != 0
 	resp.Slow = flags&flagSlow != 0
 	resp.HasIO = flags&flagIO != 0
 	resp.TraceID = c.uvarint()
@@ -603,10 +609,6 @@ func DecodeResponse(body []byte, resp *Response) error {
 		c.fail(ErrValueRange)
 	}
 	resp.ElapsedNS = int64(e)
-	resp.BatchSize = 0
-	if resp.Batched {
-		resp.BatchSize = c.intv()
-	}
 	resp.Explain = ""
 	if flags&flagExplain != 0 {
 		resp.Explain = c.str()

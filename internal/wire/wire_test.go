@@ -53,7 +53,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			Matches: []Match{{TID: 9, Prob: 0.75}, {TID: 11, Prob: 0.25}},
 			HasIO:   true, Reads: 7, Hits: 3, ElapsedNS: 12345},
 		{Kind: KindTopK, TraceID: 1, Count: 1000, Truncated: true,
-			Matches: []Match{{TID: 1, Prob: 1}}, Batched: true, BatchSize: 8, Slow: true},
+			Matches: []Match{{TID: 1, Prob: 1}}, Slow: true},
 		{Kind: KindNeighbor, TraceID: 7, Count: 1,
 			Neighbors: []Neighbor{{TID: 2, Dist: 0.5}}, Explain: "serve.neighbor 1ms"},
 		{Kind: KindWindow, TraceID: 3, Status: 429, RetryAfterSec: 2, Err: "admission queue full; retry later"},
@@ -186,6 +186,40 @@ func TestDecodeRequestErrors(t *testing.T) {
 	frame := AppendRequest(nil, &bad)
 	if err := DecodeRequest(frame[HeaderLen:], &req); !errors.Is(err, ErrBadDivergence) {
 		t.Errorf("bad divergence: err = %v, want ErrBadDivergence", err)
+	}
+}
+
+// TestDecodeRejectsUnknownFlags sets each flag bit the protocol does not
+// define — including the retired response bit 1<<1 — on an otherwise valid
+// body: the decoders must refuse it by name instead of ignoring it.
+func TestDecodeRejectsUnknownFlags(t *testing.T) {
+	req := AppendRequest(nil, &sampleRequests()[0])[HeaderLen:]
+	resp := AppendResponse(nil, &Response{Kind: KindTopK, TraceID: 5, Count: 1,
+		Matches: []Match{{TID: 2, Prob: 0.5}}, HasIO: true, Reads: 1, ElapsedNS: 9})[HeaderLen:]
+	decodeReq := func(b []byte) error { var r Request; return DecodeRequest(b, &r) }
+	decodeResp := func(b []byte) error { var r Response; return DecodeResponse(b, &r) }
+	cases := []struct {
+		name   string
+		body   []byte
+		bit    byte
+		decode func([]byte) error
+		want   error
+	}{
+		{"request/none", req, 0, decodeReq, nil},
+		{"request/1<<1", req, 1 << 1, decodeReq, ErrUnknownFlags},
+		{"request/1<<5", req, 1 << 5, decodeReq, ErrUnknownFlags},
+		{"request/1<<7", req, 1 << 7, decodeReq, ErrUnknownFlags},
+		{"response/none", resp, 0, decodeResp, nil},
+		{"response/retired 1<<1", resp, 1 << 1, decodeResp, ErrUnknownFlags},
+		{"response/1<<6", resp, 1 << 6, decodeResp, ErrUnknownFlags},
+		{"response/1<<7", resp, 1 << 7, decodeResp, ErrUnknownFlags},
+	}
+	for _, tc := range cases {
+		body := append([]byte{}, tc.body...)
+		body[1] |= tc.bit // the flags byte follows the kind byte
+		if err := tc.decode(body); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -65,14 +65,14 @@ stat_of() {
 echo "--- pass 1: read-only baseline"
 boot_ucatd
 "$work/ucatload" -addr "$ADDR" -kinds petq,topk -tau 0.02 -domain "$DOMAIN" \
-    -clients "$CLIENTS" -dur "$DUR" -hotset 8 | tee "$work/baseline.txt"
+    -clients "$CLIENTS" -dur "$DUR" | tee "$work/baseline.txt"
 kill -TERM "$PID"; wait "$PID" || true; PID=""
 BASE_P99=$(p99_of "$work/baseline.txt")
 
 echo "--- pass 2: live server, queries + concurrent ingest + determinism check"
 boot_ucatd -wal "$work/wal" -fsync group
 "$work/ucatload" -addr "$ADDR" -kinds petq,topk -tau 0.02 -domain "$DOMAIN" \
-    -clients "$CLIENTS" -dur "$DUR" -hotset 8 \
+    -clients "$CLIENTS" -dur "$DUR" \
     -ingestclients "$WRITERS" -ingestbatch 8 \
     -load "$work/rel.ucat" -check 30 | tee "$work/live.txt"
 LIVE_P99=$(p99_of "$work/live.txt")

@@ -2,11 +2,10 @@
 # wire_smoke.sh — end-to-end smoke of the binary wire protocol behind
 # `make wire-smoke`.
 #
-# Boots ucatd with micro-batching enabled, then drives a mixed-kind sweep —
-# every query kind the API speaks — over BOTH protocols with a shared hotset,
-# so the batcher coalesces probes while the sweep runs. ucatload's
-# determinism check then replays the batchable kinds three ways (direct,
-# JSON, binary, the served pair concurrently). Its exit status is the
+# Boots ucatd, then drives a mixed-kind sweep — every query kind the API
+# speaks — over BOTH protocols. ucatload's determinism check then replays
+# petq, topk and window three ways (direct, JSON, binary, the served pair
+# concurrently). Its exit status is the
 # verdict on traffic and answers (cmd/ucatload/main_test.go pins the rules);
 # the check below additionally requires that the server negotiated both
 # content types.
@@ -27,7 +26,7 @@ go build -o "$work/" ./cmd/ucatgen ./cmd/ucatd ./cmd/ucatload
     -save "$work/rel.ucat" >/dev/null
 
 "$work/ucatd" -load "$work/rel.ucat" -addr 127.0.0.1:0 -addrfile "$work/addr" \
-    -batchwindow 200us >"$work/ucatd.log" 2>&1 &
+    >"$work/ucatd.log" 2>&1 &
 PID=$!
 for _ in $(seq 100); do [ -s "$work/addr" ] && break; sleep 0.1; done
 [ -s "$work/addr" ] || { echo "wire_smoke: ucatd never became ready" >&2; cat "$work/ucatd.log" >&2; exit 1; }
@@ -36,7 +35,7 @@ ADDR=$(cat "$work/addr")
 # ucatload exits non-zero when a load level completed nothing, on any
 # transport or protocol error, and on a single differing answer.
 "$work/ucatload" -addr "$ADDR" -proto json,binary \
-    -kinds petq,topk,window,windowtopk,dstq,neighbor -hotset 8 \
+    -kinds petq,topk,window,windowtopk,dstq,neighbor \
     -clients 2,4 -dur "$DUR" -domain "$DOMAIN" \
     -load "$work/rel.ucat" -check 25
 
