@@ -39,12 +39,13 @@ bench:
 
 # Tiny-scale single-iteration pass so benchmarks can't rot (used by CI).
 # Includes the allocation-regression benchmarks of the decode hot paths
-# (uda Decode vs DecodeInto, pdrtree cached vs uncached node load) and the
-# inverted index's list join with its allocs-per-query ceiling.
+# (uda Decode vs DecodeInto, pdrtree cached vs uncached node load, the
+# PDR-tree top-k kinds' allocs per query) and the inverted index's list join
+# with its allocs-per-query ceiling.
 bench-smoke:
 	UCAT_BENCH_SCALE=0.02 $(GO) test -bench=. -benchtime=1x -short .
 	$(GO) test -run - -bench 'BenchmarkDecode' -benchmem -benchtime=1000x ./internal/uda/
-	$(GO) test -run - -bench 'BenchmarkReadNode' -benchmem -benchtime=100x ./internal/pdrtree/
+	$(GO) test -run TestTopKKindsWarmAllocs -bench 'BenchmarkReadNode' -benchmem -benchtime=100x -count=1 ./internal/pdrtree/
 	$(GO) test -run TestBruteForceAllocCeiling -bench 'BenchmarkBruteForce' -benchmem -benchtime=100x -count=1 ./internal/invidx/
 
 # Execute the README serving quickstart verbatim: the command block between

@@ -94,85 +94,6 @@ func AllChecks() []*Check {
 	}
 }
 
-// SelectChecks resolves a comma-separated list of check names ("" or "all"
-// selects every check). An unknown name errors with the full list of valid
-// names, plus a closest-match suggestion when one is near.
-func SelectChecks(names string) ([]*Check, error) {
-	all := AllChecks()
-	if names == "" || names == "all" {
-		return all, nil
-	}
-	byName := make(map[string]*Check, len(all))
-	for _, c := range all {
-		byName[c.Name] = c
-	}
-	var out []*Check
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		c, ok := byName[n]
-		if !ok {
-			valid := checkNames(all)
-			sort.Strings(valid)
-			hint := ""
-			if s := closestName(n, valid); s != "" {
-				hint = fmt.Sprintf(" (did you mean %q?)", s)
-			}
-			return nil, fmt.Errorf("lint: unknown check %q%s; valid checks: %s",
-				n, hint, strings.Join(valid, ", "))
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: no checks selected from %q", names)
-	}
-	return out, nil
-}
-
-func checkNames(cs []*Check) []string {
-	names := make([]string, len(cs))
-	for i, c := range cs {
-		names[i] = c.Name
-	}
-	return names
-}
-
-// closestName returns the candidate within edit distance 2 of name that is
-// closest to it, or "" when nothing is near enough to suggest.
-func closestName(name string, candidates []string) string {
-	best, bestDist := "", 3
-	for _, c := range candidates {
-		if d := editDistance(name, c); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between two short ASCII-ish
-// strings, O(len(a)·len(b)) with a single rolling row.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
 // Run executes the checks over every package, applies ignore directives,
 // validates the directives themselves, and returns the surviving diagnostics
 // sorted by position. Findings in generated files (files opening with the

@@ -1,9 +1,13 @@
 package pdrtree
 
 import (
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"ucat/internal/dataset"
@@ -48,22 +52,106 @@ func sameNeighbors(t *testing.T, what string, got, want []query.Neighbor) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/fetches.golden")
+
+// fetchesGolden pins, for every (dataset, compression, bound, query kind)
+// cell of TestMassCapBoundKeepsAnswers, the pages its queries fetch and the
+// order they fetch them in. A change that moves a cell reads different pages:
+// rerun with -update only on purpose and say why.
+const fetchesGolden = "testdata/fetches.golden"
+
+// pageTrace totals the page fetches of one golden cell and folds each
+// fetched page id, in order, into an FNV-1a hash.
+type pageTrace struct{ fetches, order uint64 }
+
+// traceView counts the fetches made through it into a pageTrace.
+type traceView struct {
+	pager.View
+	pt *pageTrace
+}
+
+func (v traceView) Fetch(pid pager.PageID) (*pager.Page, error) {
+	v.pt.fetches++
+	v.pt.order = (v.pt.order ^ uint64(pid)) * 1099511628211
+	return v.View.Fetch(pid)
+}
+
 // fetches runs fn through a fresh 100-frame view of tr and returns the
 // page fetches it made.
 func fetches(t *testing.T, tr *Tree, fn func(r *Reader) error) uint64 {
 	t.Helper()
+	return traced(t, tr, &pageTrace{}, fn)
+}
+
+// traced is fetches that also records the fetches into pt.
+func traced(t *testing.T, tr *Tree, pt *pageTrace, fn func(r *Reader) error) uint64 {
+	t.Helper()
 	v := pager.NewPool(tr.Pool().Store(), 100)
-	if err := fn(tr.Reader(v)); err != nil {
+	if err := fn(tr.Reader(traceView{View: v, pt: pt})); err != nil {
 		t.Fatal(err)
 	}
 	st := v.Stats()
 	return st.Reads + st.Hits
 }
 
+// goldenTraces keys a pageTrace per golden cell and renders the cells in
+// the order they were first used.
+type goldenTraces struct {
+	keys   []string
+	traces map[string]*pageTrace
+}
+
+func (g *goldenTraces) cell(name, bound, kind string) *pageTrace {
+	key := name + "\t" + bound + "\t" + kind
+	if pt, ok := g.traces[key]; ok {
+		return pt
+	}
+	pt := &pageTrace{order: 14695981039346656037}
+	g.traces[key] = pt
+	g.keys = append(g.keys, key)
+	return pt
+}
+
+func (g *goldenTraces) lines() []string {
+	out := make([]string, len(g.keys))
+	for i, k := range g.keys {
+		pt := g.traces[k]
+		out[i] = fmt.Sprintf("%s\t%d\t%016x", k, pt.fetches, pt.order)
+	}
+	return out
+}
+
+// check compares the cells with fetchesGolden, or rewrites it under -update.
+func (g *goldenTraces) check(t *testing.T) {
+	t.Helper()
+	got := g.lines()
+	if *update {
+		if err := os.WriteFile(fetchesGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(fetchesGolden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d fetch cells, golden has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("fetches %q, golden %q", got[i], want[i])
+		}
+	}
+}
+
 // TestMassCapBoundKeepsAnswers compares the mass-capped bounds with the
 // paper's, bit for bit, on every query kind they serve: PETQ at four
 // selectivities, TopK, both window kinds, and DSTQ / DSTopK under L1. The
 // capped PETQ, DSTQ and window queries must also never fetch more pages.
+// Every query runs through a fresh 100-frame view, and the pages each cell
+// fetches, in order, must match fetchesGolden.
 func TestMassCapBoundKeepsAnswers(t *testing.T) {
 	const n, queries = 4000, 8
 	datasets := []*dataset.Dataset{
@@ -76,6 +164,7 @@ func TestMassCapBoundKeepsAnswers(t *testing.T) {
 		{Compression: DiscretizedCompression, Bits: 6},
 		{Compression: SignatureCompression, Buckets: 16},
 	}
+	golden := goldenTraces{traces: map[string]*pageTrace{}}
 	for _, d := range datasets {
 		tuples := make([]Tuple, len(d.Tuples))
 		for i, u := range d.Tuples {
@@ -90,6 +179,14 @@ func TestMassCapBoundKeepsAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			paper := paperTwin(t, capped)
+			name := d.Name + "/" + cfg.Compression.String()
+			// both runs one query kind on the capped and the Lemma 2 tree and
+			// returns the fetches each made.
+			both := func(kind string, fn func(tr *Tree, rd *Reader) error) (c, p uint64) {
+				c = traced(t, capped, golden.cell(name, "capped", kind), func(rd *Reader) error { return fn(capped, rd) })
+				p = traced(t, paper, golden.cell(name, "lemma2", kind), func(rd *Reader) error { return fn(paper, rd) })
+				return c, p
+			}
 			r := rand.New(rand.NewSource(9))
 			var cappedIO, paperIO, cappedWin, paperWin uint64
 			for qi := 0; qi < queries; qi++ {
@@ -99,41 +196,28 @@ func TestMassCapBoundKeepsAnswers(t *testing.T) {
 					probs[i] = uda.EqualityProb(q, u)
 				}
 				sort.Sort(sort.Reverse(sort.Float64Slice(probs)))
-				name := d.Name + "/" + cfg.Compression.String()
 				for _, rank := range []int{1, 4, 40, 400} {
 					tau := probs[rank]
-					var got, want []query.Match
-					cappedIO += fetches(t, capped, func(rd *Reader) (err error) { got, err = rd.PETQ(q, tau); return })
-					paperIO += fetches(t, paper, func(rd *Reader) (err error) { want, err = rd.PETQ(q, tau); return })
-					sameMatches(t, name+" PETQ", got, want)
+					got := map[*Tree][]query.Match{}
+					c, p := both("PETQ", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.PETQ(q, tau); return })
+					cappedIO, paperIO = cappedIO+c, paperIO+p
+					sameMatches(t, name+" PETQ", got[capped], got[paper])
 				}
 				for _, k := range []int{1, 10, 100} {
-					got, err := capped.TopK(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := paper.TopK(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameMatches(t, name+" TopK", got, want)
+					got := map[*Tree][]query.Match{}
+					both("TopK", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.TopK(q, k); return })
+					sameMatches(t, name+" TopK", got[capped], got[paper])
 				}
 				for _, td := range []float64{0.25, 0.5, 1} {
-					var got, want []query.Neighbor
-					cappedIO += fetches(t, capped, func(rd *Reader) (err error) { got, err = rd.DSTQ(q, td, uda.L1); return })
-					paperIO += fetches(t, paper, func(rd *Reader) (err error) { want, err = rd.DSTQ(q, td, uda.L1); return })
-					sameNeighbors(t, name+" DSTQ-L1", got, want)
+					got := map[*Tree][]query.Neighbor{}
+					c, p := both("DSTQ-L1", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.DSTQ(q, td, uda.L1); return })
+					cappedIO, paperIO = cappedIO+c, paperIO+p
+					sameNeighbors(t, name+" DSTQ-L1", got[capped], got[paper])
 				}
 				for _, k := range []int{1, 10, 100} {
-					got, err := capped.DSTopK(q, k, uda.L1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := paper.DSTopK(q, k, uda.L1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameNeighbors(t, name+" DSTopK-L1", got, want)
+					got := map[*Tree][]query.Neighbor{}
+					both("DSTopK-L1", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.DSTopK(q, k, uda.L1); return })
+					sameNeighbors(t, name+" DSTopK-L1", got[capped], got[paper])
 				}
 				if cfg.Compression == SignatureCompression {
 					continue // window queries need an order-preserving encoding
@@ -144,19 +228,19 @@ func TestMassCapBoundKeepsAnswers(t *testing.T) {
 					// full heap and every cut is the bound against 0.
 					var overlap int
 					for i, tau := range []float64{0, probs[40]} {
-						var got, want []query.Match
-						cappedWin += fetches(t, capped, func(rd *Reader) (err error) { got, err = rd.WindowPETQ(q, c, tau); return })
-						paperWin += fetches(t, paper, func(rd *Reader) (err error) { want, err = rd.WindowPETQ(q, c, tau); return })
-						sameMatches(t, name+" WindowPETQ", got, want)
+						got := map[*Tree][]query.Match{}
+						cw, pw := both("WindowPETQ", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.WindowPETQ(q, c, tau); return })
+						cappedWin, paperWin = cappedWin+cw, paperWin+pw
+						sameMatches(t, name+" WindowPETQ", got[capped], got[paper])
 						if i == 0 {
-							overlap = len(want)
+							overlap = len(got[paper])
 						}
 					}
 					for _, k := range []int{10, overlap + 10} {
-						var got, want []query.Match
-						cappedWin += fetches(t, capped, func(rd *Reader) (err error) { got, err = rd.WindowTopK(q, c, k); return })
-						paperWin += fetches(t, paper, func(rd *Reader) (err error) { want, err = rd.WindowTopK(q, c, k); return })
-						sameMatches(t, name+" WindowTopK", got, want)
+						got := map[*Tree][]query.Match{}
+						cw, pw := both("WindowTopK", func(tr *Tree, rd *Reader) (err error) { got[tr], err = rd.WindowTopK(q, c, k); return })
+						cappedWin, paperWin = cappedWin+cw, paperWin+pw
+						sameMatches(t, name+" WindowTopK", got[capped], got[paper])
 					}
 				}
 			}
@@ -170,6 +254,7 @@ func TestMassCapBoundKeepsAnswers(t *testing.T) {
 				d.Name, cfg.Compression, cappedIO, paperIO, cappedWin, paperWin)
 		}
 	}
+	golden.check(t)
 }
 
 // TestMinMassTracksStoredMass: BulkLoad and Insert lower the minimum mass,

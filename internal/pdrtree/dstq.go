@@ -3,9 +3,7 @@ package pdrtree
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"ucat/internal/pager"
 	"ucat/internal/query"
 	"ucat/internal/uda"
 )
@@ -56,46 +54,15 @@ func (r *Reader) DSTQ(q uda.UDA, td float64, div uda.Divergence) ([]query.Neighb
 	if td < 0 {
 		return nil, fmt.Errorf("pdrtree: negative distance threshold %g", td)
 	}
-	var res []query.Neighbor
-	err := r.dstq(r.t.root, q, td, div, r.l1Cap(q, div), &res)
-	if err != nil {
+	sp := r.rec.StartSpan("pdrtree.dstq")
+	defer sp.End()
+	sp.AttrF("td", td)
+	s := &neighborsWithin{td: td}
+	if err := r.search(r.similarity(q, div), s); err != nil {
 		return nil, err
 	}
-	query.SortNeighbors(res)
-	return res, nil
-}
-
-// l1Cap returns the reset mass-cap state for an L1 similarity query, or nil
-// for the divergences that do not use it.
-func (r *Reader) l1Cap(q uda.UDA, div uda.Divergence) *uda.MassCap {
-	if div != uda.L1 {
-		return nil
-	}
-	return r.massCapUDA(q)
-}
-
-func (r *Reader) dstq(pid pager.PageID, q uda.UDA, td float64, div uda.Divergence, mc *uda.MassCap, res *[]query.Neighbor) error {
-	n, err := r.readNode(pid)
-	if err != nil {
-		return err
-	}
-	if n.leaf {
-		for i, u := range n.udas {
-			if d := div.Distance(q, u); d <= td {
-				*res = append(*res, query.Neighbor{TID: n.tids[i], Dist: d})
-			}
-		}
-		return nil
-	}
-	for i := range n.children {
-		if r.t.distLowerBound(q, n.bounds[i], div, mc) > td {
-			continue
-		}
-		if err := r.dstq(n.children[i], q, td, div, mc, res); err != nil {
-			return err
-		}
-	}
-	return nil
+	query.SortNeighbors(s.res)
+	return s.res, nil
 }
 
 // DSTopK returns the k tuples distributionally closest to q (DSQ-top-k) by
@@ -109,40 +76,26 @@ func (r *Reader) DSTopK(q uda.UDA, k int, div uda.Divergence) ([]query.Neighbor,
 	if k <= 0 {
 		return nil, fmt.Errorf("pdrtree: non-positive k %d", k)
 	}
-	nk := query.NewNearestK(k)
-	if err := r.dstopk(r.t.root, q, div, r.l1Cap(q, div), nk); err != nil {
+	sp := r.rec.StartSpan("pdrtree.neighbor")
+	defer sp.End()
+	sp.AttrF("k", float64(k))
+	s := nearestK{query.NewNearestK(k)}
+	if err := r.search(r.similarity(q, div), s); err != nil {
 		return nil, err
 	}
-	return nk.Results(), nil
+	return s.Results(), nil
 }
 
-func (r *Reader) dstopk(pid pager.PageID, q uda.UDA, div uda.Divergence, mc *uda.MassCap, nk *query.NearestK) error {
-	n, err := r.readNode(pid)
-	if err != nil {
-		return err
+// similarity scores a tuple by its negated distance from q under div, and
+// bounds each child by the negated distLowerBound. The mass cap is reset
+// only for L1, the one divergence whose bound uses it.
+func (r *Reader) similarity(q uda.UDA, div uda.Divergence) traversal {
+	var mc *uda.MassCap
+	if div == uda.L1 {
+		mc = r.massCapUDA(q)
 	}
-	if n.leaf {
-		for i, u := range n.udas {
-			nk.Offer(query.Neighbor{TID: n.tids[i], Dist: div.Distance(q, u)})
-		}
-		return nil
+	return traversal{
+		bound: func(b uda.Vector) float64 { return -r.t.distLowerBound(q, b, div, mc) },
+		score: func(u uda.UDA) float64 { return -div.Distance(q, u) },
 	}
-	type scored struct {
-		child pager.PageID
-		lb    float64
-	}
-	order := make([]scored, len(n.children))
-	for i := range n.children {
-		order[i] = scored{child: n.children[i], lb: r.t.distLowerBound(q, n.bounds[i], div, mc)}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].lb < order[j].lb })
-	for _, s := range order {
-		if thr, full := nk.Threshold(); full && s.lb > thr {
-			break // children are in ascending bound order
-		}
-		if err := r.dstopk(s.child, q, div, mc, nk); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -33,6 +33,9 @@ type Reader struct {
 	arena   []uda.Pair
 	// mc is the current query's mass-cap state, reset once per query.
 	mc uda.MassCap
+	// order[d] holds the bounded children of the inner node a search is in
+	// at depth d.
+	order [][]boundedChild
 }
 
 // Reader returns a read-only query handle whose page fetches go through v.

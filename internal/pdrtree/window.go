@@ -2,9 +2,7 @@ package pdrtree
 
 import (
 	"fmt"
-	"sort"
 
-	"ucat/internal/pager"
 	"ucat/internal/query"
 	"ucat/internal/uda"
 )
@@ -26,50 +24,16 @@ func (r *Reader) WindowPETQ(q uda.UDA, c uint32, tau float64) ([]query.Match, er
 	if r.t.cfg.Compression == SignatureCompression {
 		return nil, fmt.Errorf("pdrtree: window queries require an order-preserving boundary encoding (not signature compression)")
 	}
-	var res []query.Match
-	err := r.windowPETQ(r.t.root, q, c, r.windowCap(q, uda.Smear(q, c)), tau, &res)
-	if err != nil {
+	sp := r.rec.StartSpan("pdrtree.window")
+	defer sp.End()
+	sp.AttrF("c", float64(c))
+	sp.AttrF("tau", tau)
+	s := &matchesAbove{tau: tau}
+	if err := r.search(r.window(q, c), s); err != nil {
 		return nil, err
 	}
-	query.SortMatches(res)
-	return res, nil
-}
-
-func (r *Reader) windowPETQ(pid pager.PageID, q uda.UDA, c uint32, mc *uda.MassCap, tau float64, res *[]query.Match) error {
-	n, err := r.readNode(pid)
-	if err != nil {
-		return err
-	}
-	if n.leaf {
-		for i, u := range n.udas {
-			if p := uda.WithinProb(q, u, c); p > tau {
-				*res = append(*res, query.Match{TID: n.tids[i], Prob: p})
-			}
-		}
-		return nil
-	}
-	for i := range n.children {
-		if r.t.cfg.windowDot(n.bounds[i], mc) <= tau {
-			continue
-		}
-		if err := r.windowPETQ(n.children[i], q, c, mc, tau, res); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// windowCap resets the reader's mass cap for the smeared weights w of q.
-func (r *Reader) windowCap(q uda.UDA, w uda.Vector) *uda.MassCap {
-	r.mc.ResetWindow(q, w)
-	return &r.mc
-}
-
-// windowDot bounds the window probability of everything under a boundary:
-// Lemma 2's smeared dot product, mass-capped and padded for Smear's rounding
-// unless PaperBound is set (DESIGN.md §7).
-func (c Config) windowDot(bound uda.Vector, mc *uda.MassCap) float64 {
-	return c.capped(mc, mc.Fill(bound))
+	query.SortMatches(s.res)
+	return s.res, nil
 }
 
 // WindowTopK returns the k tuples with the highest window-equality
@@ -82,40 +46,31 @@ func (r *Reader) WindowTopK(q uda.UDA, c uint32, k int) ([]query.Match, error) {
 	if r.t.cfg.Compression == SignatureCompression {
 		return nil, fmt.Errorf("pdrtree: window queries require an order-preserving boundary encoding (not signature compression)")
 	}
-	tk := query.NewTopK(k)
-	if err := r.windowTopK(r.t.root, q, c, r.windowCap(q, uda.Smear(q, c)), tk); err != nil {
+	sp := r.rec.StartSpan("pdrtree.windowtopk")
+	defer sp.End()
+	sp.AttrF("c", float64(c))
+	sp.AttrF("k", float64(k))
+	s := bestK{query.NewTopK(k)}
+	if err := r.search(r.window(q, c), s); err != nil {
 		return nil, err
 	}
-	return tk.Results(), nil
+	return s.Results(), nil
 }
 
-func (r *Reader) windowTopK(pid pager.PageID, q uda.UDA, c uint32, mc *uda.MassCap, tk *query.TopK) error {
-	n, err := r.readNode(pid)
-	if err != nil {
-		return err
+// window scores Pr(|q − u| ≤ c), bounded per child by windowDot with the
+// reader's mass cap reset for q's smeared weights.
+func (r *Reader) window(q uda.UDA, c uint32) traversal {
+	mc := &r.mc
+	mc.ResetWindow(q, uda.Smear(q, c))
+	return traversal{
+		bound: func(b uda.Vector) float64 { return r.t.cfg.windowDot(b, mc) },
+		score: func(u uda.UDA) float64 { return uda.WithinProb(q, u, c) },
 	}
-	if n.leaf {
-		for i, u := range n.udas {
-			tk.Offer(query.Match{TID: n.tids[i], Prob: uda.WithinProb(q, u, c)})
-		}
-		return nil
-	}
-	type scored struct {
-		child pager.PageID
-		dot   float64
-	}
-	order := make([]scored, len(n.children))
-	for i := range n.children {
-		order[i] = scored{child: n.children[i], dot: r.t.cfg.windowDot(n.bounds[i], mc)}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].dot > order[j].dot })
-	for _, s := range order {
-		if (tk.Full() && s.dot < tk.Threshold()) || s.dot <= 0 {
-			break
-		}
-		if err := r.windowTopK(s.child, q, c, mc, tk); err != nil {
-			return err
-		}
-	}
-	return nil
+}
+
+// windowDot bounds the window probability of everything under a boundary:
+// Lemma 2's smeared dot product, mass-capped and padded for Smear's rounding
+// unless PaperBound is set (DESIGN.md §7).
+func (c Config) windowDot(bound uda.Vector, mc *uda.MassCap) float64 {
+	return c.capped(mc, mc.Fill(bound))
 }

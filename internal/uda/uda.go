@@ -16,9 +16,11 @@
 package uda
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -65,7 +67,9 @@ func New(pairs ...Pair) (UDA, error) {
 		}
 		ps = append(ps, p)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Item < ps[j].Item })
+	// Not stable: duplicates are summed in the order pdqsort leaves them,
+	// which TestNewSortsAndMergesDuplicates pins bit for bit.
+	slices.SortFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Item, b.Item) })
 	// Merge duplicates in place.
 	out := ps[:0]
 	for _, p := range ps {

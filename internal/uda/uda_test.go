@@ -6,19 +6,41 @@ import (
 	"testing"
 )
 
+// TestNewSortsAndMergesDuplicates also pins the bits of a merged sum: New
+// adds duplicates in the order its sort leaves them, and past 12 pairs that
+// sort is not stable, so a different sort could change the sum's last bit.
 func TestNewSortsAndMergesDuplicates(t *testing.T) {
-	u, err := New(Pair{5, 0.2}, Pair{1, 0.3}, Pair{5, 0.1}, Pair{3, 0.4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	want := []Pair{{1, 0.3}, {3, 0.4}, {5, 0.30000000000000004}}
-	got := u.Pairs()
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i].Item != want[i].Item || math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
-			t.Errorf("pair %d = %v, want %v", i, got[i], want[i])
+	const c = 0.03
+	for _, tc := range []struct {
+		name string
+		in   []Pair
+		want []Pair
+	}{
+		{"insertion sort",
+			[]Pair{{5, 0.2}, {1, 0.3}, {5, 0.1}, {3, 0.4}},
+			[]Pair{{1, 0.3}, {3, 0.4}, {5, 0.30000000000000004}}},
+		// 0.1+0.2+0.3 is 0.6000000000000001 summed left to right but 0.6
+		// when 0.2+0.3 comes first; the bits are those recorded before New
+		// moved from sort.Slice to slices.SortFunc.
+		{"pdqsort, three copies",
+			[]Pair{{9, c}, {7, 0.3}, {2, c}, {14, c}, {7, 0.1}, {11, c}, {4, c}, {7, 0.2},
+				{13, c}, {1, c}, {8, c}, {12, c}, {3, c}, {6, c}, {10, c}, {5, c}},
+			[]Pair{{1, c}, {2, c}, {3, c}, {4, c}, {5, c}, {6, c},
+				{7, math.Float64frombits(0x3fe3333333333334)},
+				{8, c}, {9, c}, {10, c}, {11, c}, {12, c}, {13, c}, {14, c}}},
+	} {
+		u, err := New(tc.in...)
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		got := u.Pairs()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: got %d pairs, want %d: %v", tc.name, len(got), len(tc.want), got)
+		}
+		for i, w := range tc.want {
+			if got[i].Item != w.Item || math.Float64bits(got[i].Prob) != math.Float64bits(w.Prob) {
+				t.Errorf("%s: pair %d = %v, want %v", tc.name, i, got[i], w)
+			}
 		}
 	}
 }
