@@ -69,7 +69,7 @@ type Options struct {
 	// PoolFrames sizes the buffer pool; 0 means the paper's 100 frames.
 	PoolFrames int
 	// InvStrategy is the inverted-index search strategy for PETQ/TopK.
-	// Default HighestProbFirst.
+	// The zero value is BruteForce.
 	InvStrategy invidx.Strategy
 	// PDR configures the PDR-tree (divergence, insert/split policies,
 	// compression). The zero value is the paper's best combination.

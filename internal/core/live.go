@@ -18,6 +18,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -117,11 +118,13 @@ type LiveOptions struct {
 	OriginPath string
 	// RelOptions configures the empty origin when no snapshot is given.
 	RelOptions *Options
-	// OnSwap, if set, is called after every fold with the new base relation,
-	// before Checkpoint returns — the serving layer rebuilds its shared pool
-	// here. Called from the checkpointer goroutine; must not call back into
-	// Apply or Checkpoint.
-	OnSwap func(next *Relation)
+	// OnSwap, if set, is called after every fold with the new base relation
+	// and a nil error, before Checkpoint returns — the serving layer rebuilds
+	// its shared pool here. A background fold (one Apply triggered past
+	// CheckpointEvery) that fails calls it with a nil relation and the error
+	// instead, since no caller would see it otherwise. Called from the
+	// checkpointer goroutine; must not call back into Apply or Checkpoint.
+	OnSwap func(next *Relation, err error)
 }
 
 // Live is a relation accepting durable writes while queries run. Apply and
@@ -235,7 +238,7 @@ func (lv *Live) Base() *Relation { return lv.state.Load().base }
 // SetOnSwap installs (or replaces) the fold callback after open — the serving
 // layer is constructed after OpenLive, so it wires its epoch swap here before
 // accepting writes.
-func (lv *Live) SetOnSwap(fn func(next *Relation)) {
+func (lv *Live) SetOnSwap(fn func(next *Relation, err error)) {
 	lv.mu.Lock()
 	lv.opts.OnSwap = fn
 	lv.mu.Unlock()
@@ -357,8 +360,14 @@ func (lv *Live) Apply(ops []Op) ([]uint32, uint64, error) {
 
 	if lv.opts.CheckpointEvery > 0 && int(last-target.baseLSN) >= lv.opts.CheckpointEvery {
 		// Best-effort background fold: a failed fold leaves a frozen prev the
-		// next trigger resumes, and reads stay correct either way.
-		go func() { _ = lv.Checkpoint() }()
+		// next trigger resumes, and reads stay correct either way. Its error
+		// goes to the fold callback; a fold that finds the log closed under
+		// it has nothing to report.
+		go func() {
+			if err := lv.Checkpoint(); err != nil && !errors.Is(err, wal.ErrClosed) {
+				lv.swapped(nil, err)
+			}
+		}()
 	}
 	return tids, last, nil
 }
@@ -450,17 +459,22 @@ func (lv *Live) Checkpoint() error {
 	lv.prevGen.Store(st)
 	lv.state.Store(st3)
 	lv.epoch.Add(1)
-	lv.mu.Lock()
-	onSwap := lv.opts.OnSwap
-	lv.mu.Unlock()
-	if onSwap != nil {
-		onSwap(next)
-	}
+	lv.swapped(next, nil)
 
 	if _, err := lv.wal.TruncateThrough(cut); err != nil {
 		return err
 	}
 	return pruneCheckpoints(lv.opts.Dir, cut)
+}
+
+// swapped calls the fold callback, if one is installed.
+func (lv *Live) swapped(next *Relation, err error) {
+	lv.mu.Lock()
+	onSwap := lv.opts.OnSwap
+	lv.mu.Unlock()
+	if onSwap != nil {
+		onSwap(next, err)
+	}
 }
 
 // fold applies the frozen ops, in LSN order, to a clone of base.

@@ -514,7 +514,7 @@ func TestOnSwapCalled(t *testing.T) {
 	lv, err := OpenLive(LiveOptions{
 		Dir: dir, WAL: fastWAL,
 		RelOptions: &Options{Kind: ScanOnly},
-		OnSwap:     func(next *Relation) { swapped = append(swapped, next) },
+		OnSwap:     func(next *Relation, _ error) { swapped = append(swapped, next) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,6 +542,74 @@ func TestOnSwapCalled(t *testing.T) {
 	}
 }
 
+// TestBackgroundFoldErrorReachesOnSwap: a background fold that cannot write
+// its checkpoint hands its error to the fold callback, and once the cause is
+// gone the next trigger resumes the frozen fold. A directory squats on the
+// checkpoint's .tmp path, so os.Create fails whatever the permissions.
+func TestBackgroundFoldErrorReachesOnSwap(t *testing.T) {
+	const every = 25
+	type swap struct {
+		next *Relation
+		err  error
+	}
+	swaps := make(chan swap, 4)
+	dir := t.TempDir()
+	lv, err := OpenLive(LiveOptions{
+		Dir: dir, WAL: fastWAL, CheckpointEvery: every,
+		RelOptions: &Options{Kind: ScanOnly},
+		OnSwap:     func(next *Relation, err error) { swaps <- swap{next, err} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	rng := rand.New(rand.NewSource(3))
+	trigger := func() swap {
+		t.Helper()
+		ops := make([]Op, every)
+		for i := range ops {
+			ops[i] = Op{Kind: wal.TypeInsert, U: randUDA(rng, 30)}
+		}
+		if _, _, err := lv.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case sw := <-swaps:
+			return sw
+		case <-time.After(10 * time.Second):
+			t.Fatal("the background fold reported nothing")
+			return swap{}
+		}
+	}
+
+	lv.mu.Lock()
+	cut := lv.appendedLSN + every // where the first fold freezes the delta
+	lv.mu.Unlock()
+	blocker := filepath.Join(dir, checkpointName(cut)+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if sw := trigger(); sw.err == nil || sw.next != nil {
+		t.Fatalf("fold callback got (%v, %v), want the checkpoint error", sw.next, sw.err)
+	}
+	if lv.Epoch() != 0 {
+		t.Fatalf("epoch %d after a failed fold", lv.Epoch())
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if sw := trigger(); sw.err != nil || sw.next != lv.Base() {
+		t.Fatalf("resumed fold: callback got (%v, %v), want the new base", sw.next, sw.err)
+	}
+	if lv.Epoch() != 1 {
+		t.Fatalf("epoch %d after the resumed fold, want 1", lv.Epoch())
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName(cut))); err != nil {
+		t.Fatalf("the resumed fold wrote no checkpoint at the frozen cut: %v", err)
+	}
+}
+
 // TestLiveCloseWaitsForFold pins DURABILITY.md §6.1: Apply crosses the
 // CheckpointEvery boundary, which spawns a background fold, and Close is
 // called at once — or, in the second variant, while the fold is provably
@@ -561,7 +629,7 @@ func TestLiveCloseWaitsForFold(t *testing.T) {
 			lv, err := OpenLive(LiveOptions{
 				Dir: dir, WAL: fastWAL, CheckpointEvery: every,
 				RelOptions: &Options{Kind: InvertedIndex},
-				OnSwap: func(*Relation) {
+				OnSwap: func(*Relation, error) {
 					close(inSwap)
 					time.Sleep(20 * time.Millisecond) // hold the fold open past Close's call
 				},

@@ -20,18 +20,15 @@ func joinBenchIndex(tb testing.TB, n int) *Index {
 	return ix
 }
 
-// TestBruteForceAllocCeiling pins the allocation budget of every search that
-// scans whole posting lists through a per-list callback: a warm query
-// allocates one object per page fetch (the pinned page handle), a few per
-// list (the scan callback and its leaf scratch), the k heap pushes of a
-// top-k, and a constant — nothing per posting and nothing per match. The
-// pooled-table joins (brute force, MultiPETQ) must also leave the excess over
-// fetches where it was when the lists double. The two pruning scans still
-// dedupe candidates in a Go map and grow their result slice, which costs
-// O(log candidates) allocations plus the odd overflow bucket: they get one
-// allocation per sixteen fetches (each candidate is at least one fetch),
-// which a single allocation per candidate or per posting overruns many
-// times over.
+// TestBruteForceAllocCeiling pins the allocation budget of every search: a
+// warm query allocates one object per page fetch (the pinned page handle), a
+// few per list (the scan callback and its leaf scratch, or the cursor), and a
+// constant — nothing per posting, per candidate or per match, since every
+// search keeps its tuples in a pooled score table and top-k heaps box
+// nothing. Each search must also leave the excess over fetches where it was
+// when the lists double. Measured at n = 10000 and 20000, the frontier
+// searches run 5–15 allocations over their fetches, under the 20 the three
+// lists allow.
 func TestBruteForceAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -39,18 +36,23 @@ func TestBruteForceAllocCeiling(t *testing.T) {
 	const k, window = 10, 1
 	batch := []uda.UDA{joinBenchQuery, uda.MustNew(uda.Pair{Item: 2, Prob: 0.6}, uda.Pair{Item: 5, Prob: 0.4})}
 	kinds := []struct {
-		name     string
-		lists    int
-		heap     int     // k heap pushes, or MultiPETQ's per-query slices
-		perFetch float64 // the seen-map allowance of the pruning scans
-		run      func(rd *Reader) error
+		name   string
+		lists  int
+		slices int // MultiPETQ's per-query slices
+		run    func(rd *Reader) error
 	}{
-		{"petq", joinBenchQuery.Len(), 0, 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, BruteForce); return err }},
-		{"topk", joinBenchQuery.Len(), k, 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, BruteForce); return err }},
-		{"window", len(uda.Smear(joinBenchQuery, window)), 0, 0, func(rd *Reader) error { _, err := rd.WindowPETQ(joinBenchQuery, window, 0.1); return err }},
-		{"multipetq", 4, 2 * len(batch), 0, func(rd *Reader) error { _, err := rd.ix.MultiPETQ(batch, []float64{0.1, 0.1}); return err }},
-		{"rowpruning-topk", joinBenchQuery.Len(), k, 1.0 / 16, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, RowPruning); return err }},
-		{"columnpruning", joinBenchQuery.Len(), 0, 1.0 / 16, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, ColumnPruning); return err }},
+		{"petq", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, BruteForce); return err }},
+		{"topk", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, BruteForce); return err }},
+		{"window", len(uda.Smear(joinBenchQuery, window)), 0, func(rd *Reader) error { _, err := rd.WindowPETQ(joinBenchQuery, window, 0.1); return err }},
+		{"multipetq", 4, 2 * len(batch), func(rd *Reader) error { _, err := rd.ix.MultiPETQ(batch, []float64{0.1, 0.1}); return err }},
+		{"rowpruning", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.3, RowPruning); return err }},
+		{"rowpruning-topk", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, RowPruning); return err }},
+		{"columnpruning", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, ColumnPruning); return err }},
+		{"columnpruning-topk", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, ColumnPruning); return err }},
+		{"hpf", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, HighestProbFirst); return err }},
+		{"hpf-topk", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, HighestProbFirst); return err }},
+		{"nra", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.PETQ(joinBenchQuery, 0.1, NRA); return err }},
+		{"nra-topk", joinBenchQuery.Len(), 0, func(rd *Reader) error { _, err := rd.TopK(joinBenchQuery, k, NRA); return err }},
 	}
 	excess := make(map[string]float64)
 	for _, n := range []int{10000, 20000} {
@@ -74,10 +76,10 @@ func TestBruteForceAllocCeiling(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, once)
 			over := allocs - fetches
 			t.Logf("%s n=%d: %.0f allocs at %.0f fetches (+%.0f)", kind.name, n, allocs, fetches, over)
-			if ceiling := float64(4*kind.lists+kind.heap+8) + kind.perFetch*fetches; over > ceiling {
+			if ceiling := float64(4*kind.lists + kind.slices + 8); over > ceiling {
 				t.Errorf("%s n=%d: %.0f allocs at %.0f fetches: %.0f over, ceiling %.0f", kind.name, n, allocs, fetches, over, ceiling)
 			}
-			if prev, ok := excess[kind.name]; ok && kind.perFetch == 0 && over > prev+2 {
+			if prev, ok := excess[kind.name]; ok && over > prev+2 {
 				t.Errorf("%s: allocs beyond fetches grew from %.0f to %.0f when the lists doubled", kind.name, prev, over)
 			}
 			excess[kind.name] = over

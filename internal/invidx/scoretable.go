@@ -8,12 +8,14 @@ import (
 )
 
 // scoreTable is the accumulator tid → Σ_j q_j · t_j of the list-joining
-// searches (brute force, row pruning, window queries, MultiPETQ). It is an
-// open-addressed hash table with linear probing whose slots hold 1-based
-// indices into the dense tids/scores slices, which grow in first-touch
-// order: four bytes per slot plus twelve per distinct tuple, against the
-// ~40 a Go map entry costs, and results are emitted by walking the dense
-// slices, so nothing about a query's answer depends on hash order.
+// searches (brute force, window queries, MultiPETQ) and the tuple set of the
+// frontier searches (search.go), which keep a verified probability or NRA's
+// partial sum per tuple. It is an open-addressed hash table with linear
+// probing whose slots hold 1-based indices into the dense tids/scores
+// slices, which grow in first-touch order: four bytes per slot plus twelve
+// per distinct tuple, against the ~40 a Go map entry costs, and results are
+// emitted by walking the dense slices, so nothing about a query's answer
+// depends on hash order.
 //
 // Tables are pooled. A pooled table is all-zero: slots[:cap] is clear and
 // the dense slices are empty; release restores that by clearing only the
@@ -23,6 +25,11 @@ type scoreTable struct {
 	shift  uint     // 32 − log2(len(slots)): home slot = tid·φ >> shift
 	tids   []uint32
 	scores []float64
+	// seen is NRA's per-row mask of the lists that have credited the row;
+	// only NRA fills it, one word per row it adds. vals is the scratch its
+	// top-k selects the kth largest partial sum in.
+	seen []uint64
+	vals []float64
 }
 
 var scoreTables = sync.Pool{New: func() any { return new(scoreTable) }}
@@ -56,6 +63,8 @@ func (t *scoreTable) release() {
 	clear(t.slots)
 	t.tids = t.tids[:0]
 	t.scores = t.scores[:0]
+	t.seen = t.seen[:0]
+	t.vals = t.vals[:0]
 	scoreTables.Put(t)
 }
 
@@ -95,6 +104,21 @@ func (t *scoreTable) add(tid uint32, delta float64) {
 	t.tids = append(t.tids, tid)
 	t.scores = append(t.scores, delta)
 	t.slots[i] = uint32(len(t.tids))
+}
+
+// find returns tid's row, or -1 if the table does not hold it.
+func (t *scoreTable) find(tid uint32) int {
+	return int(t.slots[t.slot(tid)]) - 1
+}
+
+// row returns tid's row, adding it with score 0 if the table does not hold
+// it yet; fresh reports the addition.
+func (t *scoreTable) row(tid uint32) (row int, fresh bool) {
+	if row = t.find(tid); row >= 0 {
+		return row, false
+	}
+	t.add(tid, 0)
+	return len(t.tids) - 1, true
 }
 
 // matches returns the tuples scoring above tau in first-touch order, in a

@@ -2,9 +2,9 @@ package invidx
 
 import (
 	"fmt"
+	"math"
 
 	"ucat/internal/btree"
-	"ucat/internal/obs"
 	"ucat/internal/query"
 	"ucat/internal/uda"
 )
@@ -95,16 +95,8 @@ func (r *Reader) PETQ(q uda.UDA, tau float64, s Strategy) ([]query.Match, error)
 	switch s {
 	case BruteForce:
 		res, err = r.bruteForce(q.Pairs(), tau)
-	case HighestProbFirst:
-		res, err = r.highestProbFirst(q, tau)
-	case RowPruning:
-		res, err = r.rowPruning(q, tau)
-	case ColumnPruning:
-		res, err = r.columnPruning(q, tau)
-	case NRA:
-		res, err = r.nra(q, tau)
 	default:
-		return nil, fmt.Errorf("invidx: unknown strategy %v", s)
+		res, err = r.frontier(q, s, tau, 0)
 	}
 	if err != nil {
 		return nil, err
@@ -128,20 +120,10 @@ func (r *Reader) TopK(q uda.UDA, k int, s Strategy) ([]query.Match, error) {
 	defer sp.End()
 	sp.Attr("strategy", s.String())
 	sp.AttrF("k", float64(k))
-	switch s {
-	case BruteForce:
+	if s == BruteForce {
 		return r.bruteForceTopK(q.Pairs(), k)
-	case HighestProbFirst:
-		return r.frontierTopK(q, k, true)
-	case ColumnPruning:
-		return r.frontierTopK(q, k, false)
-	case RowPruning:
-		return r.rowPruningTopK(q, k)
-	case NRA:
-		return r.nraTopK(q, k)
-	default:
-		return nil, fmt.Errorf("invidx: unknown strategy %v", s)
 	}
+	return r.frontier(q, s, 0, k)
 }
 
 // chooseStrategy implements Auto: compare the worst-case random-access cost
@@ -164,59 +146,6 @@ func (r *Reader) chooseStrategy(q uda.UDA) Strategy {
 		return HighestProbFirst
 	}
 	return NRA
-}
-
-// listCursor walks one inverted list in descending probability order,
-// exposing the frontier pair (the paper's "current pointer").
-type listCursor struct {
-	item uint32
-	qp   float64 // the query's probability for this item
-	cur  *btree.Cursor
-	prob float64 // frontier probability p'_j
-	tid  uint32
-	ok   bool
-	rec  *obs.Recorder // nil unless the query is traced
-}
-
-// advance moves the frontier to the next pair; ok goes false at list end.
-// Every advance is one "current pointer" step of the paper's frontier
-// searches; traced queries tally them as inv.advances.
-func (lc *listCursor) advance() error {
-	lc.rec.Add("inv.advances", 1)
-	k, ok, err := lc.cur.Next()
-	if err != nil {
-		return err
-	}
-	lc.ok = ok
-	if ok {
-		lc.prob, lc.tid = unpackKey(k)
-	} else {
-		lc.prob, lc.tid = 0, 0
-	}
-	return nil
-}
-
-// openCursors builds one positioned cursor per query item that has a
-// non-empty list. The cursors are carved out of one bulk allocation (its
-// capacity is fixed up front, so the interior pointers stay valid).
-func (r *Reader) openCursors(q uda.UDA) ([]*listCursor, error) {
-	bulk := make([]listCursor, 0, q.Len())
-	var cs []*listCursor
-	for _, p := range q.Pairs() {
-		tree, ok := r.ix.dir[p.Item]
-		if !ok || tree.Len() == 0 {
-			continue
-		}
-		bulk = append(bulk, listCursor{item: p.Item, qp: p.Prob, cur: tree.NewCursorVia(r.view, btree.Key{}), rec: r.rec})
-		lc := &bulk[len(bulk)-1]
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if lc.ok {
-			cs = append(cs, lc)
-		}
-	}
-	return cs, nil
 }
 
 // bruteForce joins the full lists of all the (item, weight) pairs. For a
@@ -285,587 +214,470 @@ func (ix *Index) distinctBound(pairs []uda.Pair) int {
 	return min(entries, ix.Len())
 }
 
-// highestProbFirst implements the paper's Highest-prob-first search: advance
-// the most promising frontier, verify each newly seen tuple by random
-// access, and stop when Lemma 1 guarantees no unseen tuple can qualify.
-func (r *Reader) highestProbFirst(q uda.UDA, tau float64) ([]query.Match, error) {
-	cs, err := r.openCursors(q)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[uint32]struct{})
-	var res []query.Match
-	for {
-		best := -1
-		var bestVal float64
-		bound := 0.0
-		for i, lc := range cs {
-			if !lc.ok {
-				continue
-			}
-			v := lc.qp * lc.prob
-			bound += v
-			if best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		// Lemma 1: an unseen tuple's score is at most the frontier bound.
-		if best == -1 || bound <= tau {
-			break
-		}
-		lc := cs[best]
-		tid := lc.tid
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if _, dup := seen[tid]; dup {
-			continue
-		}
-		seen[tid] = struct{}{}
-		m, qualifies, err := r.verify(q, tid, tau)
-		if err != nil {
-			return nil, err
-		}
-		if qualifies {
-			res = append(res, m)
-		}
-	}
-	return res, nil
-}
-
-// verify performs the random access for a candidate and evaluates the exact
-// equality probability against the threshold. The probe decodes into the
-// reader's reused arena (tuplestore.GetArena): the distribution is consumed
-// right here, so the buffer can be recycled probe after probe.
-func (r *Reader) verify(q uda.UDA, tid uint32, tau float64) (query.Match, bool, error) {
+// verify performs the random access for a candidate and returns its exact
+// equality probability. The probe decodes into the reader's reused arena
+// (tuplestore.GetArena): the distribution is consumed right here, so the
+// buffer can be recycled probe after probe.
+func (r *Reader) verify(q uda.UDA, tid uint32) (float64, error) {
 	r.rec.Add("inv.probes", 1)
 	u, arena, err := r.ix.tuples.GetArena(r.view, tid, r.arena[:0])
 	r.arena = arena
 	if err != nil {
-		return query.Match{}, false, err
+		return 0, err
 	}
-	p := uda.EqualityProb(q, u)
-	return query.Match{TID: tid, Prob: p}, p > tau, nil
+	return uda.EqualityProb(q, u), nil
 }
 
-// rowPruning scans only the lists of items with q_j > tau: a tuple all of
-// whose query-overlapping items have q_j ≤ tau has score
-// Σ q_j·t_j ≤ tau·Σ t_j ≤ tau, so it cannot strictly exceed the threshold.
-// When at least one list was skipped, the accumulated scores are only lower
-// bounds and every candidate is verified by random access.
-func (r *Reader) rowPruning(q uda.UDA, tau float64) ([]query.Match, error) {
-	pairs := q.Pairs()
-	kept := pairs[:0]
-	for _, p := range pairs {
-		if p.Prob > tau {
-			kept = append(kept, p)
-		}
-	}
-	t, err := r.accumulate(kept)
-	if err != nil {
-		return nil, err
-	}
-	defer t.release()
-	if len(kept) == len(pairs) {
-		return t.matches(tau), nil
-	}
-	var res []query.Match
-	for _, tid := range t.tids {
-		m, qualifies, err := r.verify(q, tid, tau)
-		if err != nil {
-			return nil, err
-		}
-		if qualifies {
-			res = append(res, m)
-		}
-	}
-	return res, nil
-}
+// A frontier search reads inverted lists in some order, stops once a Lemma 1
+// style bound says no unseen tuple can qualify, and does one of three things
+// with each tuple it meets. Every strategy but brute force is one set of
+// these rules run by the one loop in (*search).run:
+//
+//	strategy      kind  lists read     pick      bound      visit
+//	HPF           both  all, cursors   q_j·p'_j  Σ q_j·p'_j probe
+//	row pruning   PETQ  q_j > τ, whole query     —          join
+//	row pruning   TopK  all, whole     q_j desc  max q_j    probe
+//	col pruning   PETQ  p > τ, whole   query     —          probe
+//	col pruning   TopK  all, cursors   p'_j      max p'_j   probe
+//	NRA           both  all, cursors   q_j·p'_j  Σ q_j·p'_j rank join
+//
+// Lists read whole go through one ScanVia each, which fetches every leaf
+// once; cursor lists go through btree.Cursor, which re-fetches its leaf on
+// every step. A PETQ stops when the bound is ≤ τ, a probing top-k when it is
+// ≤ the kth best score found, and NRA's top-k when it is ≤ the kth largest
+// partial sum at the last sweep. Ties go to the earlier list.
 
-// rowPruningTopK processes whole lists in descending query-probability
-// order, raising the threshold as results accumulate and stopping when the
-// remaining lists' query probabilities can no longer beat it.
-func (r *Reader) rowPruningTopK(q uda.UDA, k int) ([]query.Match, error) {
-	pairs := q.PairsByProb()
-	tk := query.NewTopK(k)
-	seen := make(map[uint32]struct{})
-	for _, p := range pairs {
-		// A tuple absent from all processed lists has score ≤ Σ_rest q_j·t_j
-		// ≤ max_rest q_j; with lists in descending q_j that maximum is p.Prob.
-		if tk.Full() && p.Prob <= tk.Threshold() {
-			break
-		}
-		tree, ok := r.ix.dir[p.Item]
-		if !ok {
-			continue
-		}
-		var verr error
-		err := tree.ScanVia(r.view, btree.Key{}, func(key btree.Key) bool {
-			_, tid := unpackKey(key)
-			if _, dup := seen[tid]; dup {
-				return true
-			}
-			seen[tid] = struct{}{}
-			m, _, err := r.verify(q, tid, 0)
-			if err != nil {
-				verr = err
-				return false
-			}
-			tk.Offer(m)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if verr != nil {
-			return nil, verr
-		}
-	}
-	return tk.Results(), nil
-}
+// pick is the rule that chooses the next list to read.
+type pick uint8
 
-// columnPruning reads only the prefix of each query item's list with
-// probability above tau: a qualifying tuple has Σ q_j·t_j > tau with
-// Σ q_j ≤ 1, so some overlapping item must have t_j > tau and the tuple
-// appears in that list's prefix. Candidates are verified by random access.
-func (r *Reader) columnPruning(q uda.UDA, tau float64) ([]query.Match, error) {
-	seen := make(map[uint32]struct{})
-	var res []query.Match
-	for _, p := range q.Pairs() {
-		tree, ok := r.ix.dir[p.Item]
-		if !ok {
-			continue
-		}
-		var verr error
-		err := tree.ScanVia(r.view, btree.Key{}, func(key btree.Key) bool {
-			prob, tid := unpackKey(key)
-			if prob <= tau {
-				return false // rest of the column is below the threshold
-			}
-			if _, dup := seen[tid]; dup {
-				return true
-			}
-			seen[tid] = struct{}{}
-			m, qualifies, err := r.verify(q, tid, tau)
-			if err != nil {
-				verr = err
-				return false
-			}
-			if qualifies {
-				res = append(res, m)
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if verr != nil {
-			return nil, verr
-		}
-	}
-	return res, nil
-}
+const (
+	inOrder pick = iota // the first list not yet read, read whole
+	byScore             // the cursor whose frontier maximizes q_j·p'_j
+	byProb              // the cursor whose frontier maximizes p'_j
+)
 
-// frontierTopK is the shared top-k driver for highest-prob-first and
-// column-pruning: advance frontiers in best-first order, verify new
-// candidates, and stop once no unseen tuple can beat the kth best.
-// When scaled is true frontiers are ranked by q_j·p'_j and the stop test is
-// Lemma 1's Σ q_j·p'_j ≤ τ; otherwise ranking and stopping use the raw
-// frontier probability (column pruning: an unseen tuple's score is at most
-// max_j p'_j because Σ q_j ≤ 1).
-func (r *Reader) frontierTopK(q uda.UDA, k int, scaled bool) ([]query.Match, error) {
-	cs, err := r.openCursors(q)
-	if err != nil {
-		return nil, err
-	}
-	tk := query.NewTopK(k)
-	seen := make(map[uint32]struct{})
-	for {
-		best := -1
-		var bestVal, bound, maxFrontier float64
-		for i, lc := range cs {
-			if !lc.ok {
-				continue
-			}
-			v := lc.prob
-			if scaled {
-				v = lc.qp * lc.prob
-			}
-			bound += lc.qp * lc.prob
-			if lc.prob > maxFrontier {
-				maxFrontier = lc.prob
-			}
-			if best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		if best == -1 {
-			break
-		}
-		if tk.Full() {
-			stop := bound
-			if !scaled {
-				stop = maxFrontier
-			}
-			if stop <= tk.Threshold() {
-				break
-			}
-		}
-		lc := cs[best]
-		tid := lc.tid
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if _, dup := seen[tid]; dup {
-			continue
-		}
-		seen[tid] = struct{}{}
-		m, _, err := r.verify(q, tid, 0)
-		if err != nil {
-			return nil, err
-		}
-		tk.Offer(m)
-	}
-	return tk.Results(), nil
-}
+// bound is the most an unseen tuple can still score, over the lists left.
+type bound uint8
 
-// nraCandidate tracks a tuple mid-join: the score accumulated from lists
-// where it has been seen, and which lists could still contribute — the
-// paper's "lack" bookkeeping.
-type nraCandidate struct {
-	partial float64
-	seen    uint64 // bitmask over cursor indices
-}
+const (
+	sumScore bound = iota // Lemma 1: Σ q_j·p'_j
+	maxProb               // max p'_j, since Σ q_j ≤ 1
+	maxQuery              // max q_j, since Σ t_j ≤ 1
+)
 
-// nra is the no-random-access threshold search (rank join with early-out,
-// refs [12, 17]). Phase 1 (discovery) descends the frontiers while new
-// tuples can still qualify (Lemma 1), maintaining per-candidate lower/upper
-// bounds and dropping candidates whose upper bound cannot exceed tau. Phase
-// 2 (resolution) keeps draining only the lists that surviving candidates
-// still lack contributions from — discarding a list "when no tuples in the
-// candidate set reference it" — and performs random accesses only once the
-// candidate set is small (or to confirm a candidate whose lower bound
-// already beats tau).
-func (r *Reader) nra(q uda.UDA, tau float64) ([]query.Match, error) {
-	cs, err := r.openCursors(q)
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) > 64 {
-		// The bitmask caps the number of lists; fall back to the safe
-		// strategy for absurdly wide queries.
-		return r.highestProbFirst(q, tau)
-	}
-	cand := make(map[uint32]*nraCandidate)
-	done := make(map[uint32]struct{}) // discarded
-	// refs[i] counts candidates that have not yet been seen in list i.
-	refs := make([]int, len(cs))
-	var res []query.Match
+// visit is what the search does with a tuple it meets in a list.
+type visit uint8
 
-	// maxRA caps the final random accesses: once the unresolved candidate
+const (
+	probe    visit = iota // verify a tuple the first time it is met, by random access
+	join                  // add q_j·p to its score, like brute force
+	rankJoin              // NRA: add q_j·p to its partial sum and mark the list seen
+)
+
+const (
+	// maxRA caps NRA's final random accesses: once the unresolved candidate
 	// set is this small, probing beats draining long list tails.
-	const maxRA = 32
-	const sweepEvery = 4096
-	step := 0
+	maxRA = 32
+	// sweepEvery is how many list steps NRA takes between sweeps.
+	sweepEvery = 4096
+	// dropped is the score of a candidate NRA has discarded. Live partial
+	// sums are never negative, so a negative score is never emitted or
+	// ranked, and marks the tuple as one to skip when it is met again.
+	dropped = -1.0
+)
 
-	// Phase 1: discovery. New candidates are admitted while the frontier
-	// bound exceeds tau (Lemma 1). Candidates are never resolved by random
-	// access here — their partial sums keep growing as the lists drain, and
-	// a candidate's partial is exact as soon as every list it has not been
-	// seen in is exhausted (every consumed pair is credited to its tuple, so
-	// an unseen entry can only lie below a live frontier).
-	for {
-		best := -1
-		var bestVal float64
-		bound := 0.0
-		for i, lc := range cs {
-			if !lc.ok {
-				continue
-			}
-			v := lc.qp * lc.prob
-			bound += v
-			if best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
+// list is one inverted list as a frontier search reads it.
+type list struct {
+	qp   float64 // the query's probability for the list's item
+	tree *btree.Tree
+	cur  *btree.Cursor // nil when the list is read whole
+	prob float64       // cursor frontier probability p'_j (the paper's "current pointer")
+	tid  uint32        // cursor frontier tuple
+	ok   bool          // entries are left to read
+}
+
+// search is one frontier search: its rules, its lists and the score table
+// that holds every tuple it has met, in first-touch order.
+type search struct {
+	r      *Reader
+	q      uda.UDA
+	pick   pick
+	bound  bound
+	visit  visit
+	cutoff float64 // a list read whole ends at its first p ≤ cutoff
+	tau    float64 // the PETQ threshold
+	stopAt float64 // the search stops once the bound is ≤ stopAt
+	k      int     // > 0 for a top-k query
+	pruned bool    // row pruning skipped a list: scores are lower bounds
+	tk     *query.TopK
+	lists  []list
+	t      *scoreTable
+
+	// NRA's state. The table's seen column marks the lists each candidate
+	// has been credited from (the paper's "lack"); refs[j] counts the live
+	// candidates list j still owes a contribution.
+	refs      []int
+	live      int
+	steps     int
+	resolving bool // phase 2: no new candidates, only lists referenced
+}
+
+// frontier runs strategy s as a PETQ at tau (k == 0) or a top-k query.
+// PETQ matches come back unsorted.
+func (r *Reader) frontier(q uda.UDA, s Strategy, tau float64, k int) ([]query.Match, error) {
+	// A PETQ stops at τ. A probing top-k cannot stop before it holds k
+	// answers; then it stops at the kth best.
+	sr := &search{r: r, q: q, tau: tau, stopAt: tau, k: k, cutoff: -1}
+	if k > 0 {
+		sr.stopAt = math.Inf(-1)
+	}
+	pairs := q.Pairs()
+	switch s {
+	case HighestProbFirst:
+		sr.pick, sr.bound, sr.visit = byScore, sumScore, probe
+	case NRA:
+		sr.pick, sr.bound, sr.visit = byScore, sumScore, rankJoin
+		if k > 0 {
+			sr.stopAt = 0 // the kth largest partial sum, raised by each sweep
 		}
-		if best == -1 || bound <= tau {
+	case RowPruning:
+		sr.pick, sr.bound, sr.visit = inOrder, maxQuery, probe
+		if k > 0 {
+			pairs = q.PairsByProb()
 			break
 		}
-		lc := cs[best]
-		tid := lc.tid
-		contribution := lc.qp * lc.prob
-		if err := lc.advance(); err != nil {
+		// A tuple all of whose query-overlapping items have q_j ≤ τ scores
+		// Σ q_j·t_j ≤ τ·Σ t_j ≤ τ, so only lists with q_j > τ are read.
+		sr.visit, sr.stopAt = join, math.Inf(-1)
+		kept := pairs[:0]
+		for _, p := range pairs {
+			if p.Prob > tau {
+				kept = append(kept, p)
+			}
+		}
+		sr.pruned = len(kept) < len(pairs)
+		pairs = kept
+	case ColumnPruning:
+		sr.pick, sr.bound, sr.visit = byProb, maxProb, probe
+		if k == 0 {
+			// A qualifying tuple has Σ q_j·t_j > τ with Σ q_j ≤ 1, so some
+			// t_j > τ: each list is read only down to p > τ.
+			sr.pick, sr.cutoff, sr.stopAt = inOrder, tau, math.Inf(-1)
+		}
+	default:
+		return nil, fmt.Errorf("invidx: unknown strategy %v", s)
+	}
+	if err := sr.open(pairs); err != nil {
+		return nil, err
+	}
+	if sr.visit == rankJoin && len(sr.lists) > 64 {
+		// The seen mask caps the number of lists; fall back to the safe
+		// strategy for absurdly wide queries.
+		return r.frontier(q, HighestProbFirst, tau, k)
+	}
+	sr.t = acquireScoreTable(r.ix.distinctBound(pairs))
+	defer sr.t.release()
+	switch {
+	case sr.visit == rankJoin:
+		sr.refs = make([]int, len(sr.lists))
+	case k > 0:
+		sr.tk = query.NewTopK(k)
+	}
+	if err := sr.run(); err != nil {
+		return nil, err
+	}
+	if sr.visit == rankJoin {
+		sr.sweep()
+		sr.resolving = true
+		if err := sr.run(); err != nil {
 			return nil, err
 		}
-		if _, over := done[tid]; over {
+	}
+	return sr.answers()
+}
+
+// open makes one list per pair whose item has one, in pair order. Lists
+// read whole are opened by their first read; a cursor list is positioned
+// on its first entry now and kept only if it has one.
+func (s *search) open(pairs []uda.Pair) error {
+	s.lists = make([]list, 0, len(pairs))
+	for _, p := range pairs {
+		tree, ok := s.r.ix.dir[p.Item]
+		if !ok {
 			continue
 		}
-		c := cand[tid]
-		if c == nil {
-			c = &nraCandidate{}
-			cand[tid] = c
-			for i, l := range cs {
-				if l.ok {
-					refs[i]++
+		l := list{qp: p.Prob, tree: tree, ok: true}
+		if s.pick != inOrder {
+			if tree.Len() == 0 {
+				continue
+			}
+			l.cur = tree.NewCursorVia(s.r.view, btree.Key{})
+			if err := s.advance(&l); err != nil {
+				return err
+			}
+		}
+		if l.ok {
+			s.lists = append(s.lists, l)
+		}
+	}
+	return nil
+}
+
+// run reads lists until none is left to read or the stop test holds: in
+// phase 1 the bound against stopAt, in NRA's phase 2 few enough
+// candidates left to probe.
+func (s *search) run() error {
+	for {
+		j, b := s.next()
+		if j < 0 {
+			return nil
+		}
+		if s.resolving {
+			if s.k == 0 && s.live <= maxRA {
+				return nil
+			}
+		} else if b <= s.stopAt {
+			return nil
+		}
+		if err := s.read(j); err != nil {
+			return err
+		}
+	}
+}
+
+// next picks the list to read and computes the bound over the lists left.
+// In NRA's phase 2 only lists some candidate still lacks are read.
+func (s *search) next() (int, float64) {
+	best, b := -1, 0.0
+	var bestVal float64
+	for j := range s.lists {
+		l := &s.lists[j]
+		if !l.ok || s.resolving && s.refs[j] == 0 {
+			continue
+		}
+		v := l.qp * l.prob
+		switch s.bound {
+		case sumScore:
+			b += v
+		case maxProb:
+			b = max(b, l.prob)
+		case maxQuery:
+			b = max(b, l.qp)
+		}
+		if s.pick == byProb {
+			v = l.prob
+		}
+		if best == -1 || s.pick != inOrder && v > bestVal {
+			best, bestVal = j, v
+		}
+	}
+	return best, b
+}
+
+// read takes one step in list j: the whole list for a list read whole, one
+// entry for a cursor.
+func (s *search) read(j int) error {
+	l := &s.lists[j]
+	if l.cur == nil {
+		return s.scan(j)
+	}
+	tid, score := l.tid, l.qp*l.prob
+	if err := s.advance(l); err != nil {
+		return err
+	}
+	return s.meet(j, tid, score)
+}
+
+// advance moves a cursor list's frontier to its next entry; ok goes false
+// at the list's end. Traced queries tally each step as inv.advances.
+func (s *search) advance(l *list) error {
+	s.r.rec.Add("inv.advances", 1)
+	k, ok, err := l.cur.Next()
+	if err != nil {
+		return err
+	}
+	l.ok = ok
+	if ok {
+		l.prob, l.tid = unpackKey(k)
+	} else {
+		l.prob, l.tid = 0, 0
+	}
+	return nil
+}
+
+// scan reads list j whole, down to the cutoff, through one ScanVia.
+func (s *search) scan(j int) error {
+	l := &s.lists[j]
+	l.ok = false
+	s.r.rec.Add("inv.lists", 1)
+	var entries int64
+	var merr error
+	err := l.tree.ScanVia(s.r.view, btree.Key{}, func(k btree.Key) bool {
+		prob, tid := unpackKey(k)
+		if prob <= s.cutoff {
+			return false
+		}
+		entries++
+		merr = s.meet(j, tid, l.qp*prob)
+		return merr == nil
+	})
+	s.r.rec.Add("inv.entries", entries)
+	if err != nil {
+		return err
+	}
+	return merr
+}
+
+// meet visits tuple tid, met in list j with score q_j·p.
+func (s *search) meet(j int, tid uint32, score float64) error {
+	switch s.visit {
+	case join:
+		s.t.add(tid, score)
+	case probe:
+		row, fresh := s.t.row(tid)
+		if !fresh {
+			return nil
+		}
+		p, err := s.r.verify(s.q, tid)
+		if err != nil {
+			return err
+		}
+		s.t.scores[row] = p
+		if s.tk != nil {
+			s.tk.Offer(query.Match{TID: tid, Prob: p})
+			if s.tk.Full() {
+				s.stopAt = s.tk.Threshold()
+			}
+		}
+	case rankJoin:
+		s.credit(j, tid, score)
+	}
+	return nil
+}
+
+// credit adds list j's contribution to candidate tid. Phase 1 admits new
+// candidates and skips dropped ones; phase 2 credits only live candidates.
+// A candidate's partial sum is exact once every list it lacks is exhausted:
+// every consumed entry is credited, so an unseen one lies below a live
+// frontier.
+func (s *search) credit(j int, tid uint32, score float64) {
+	row := s.t.find(tid)
+	if !s.resolving {
+		if row < 0 {
+			row, _ = s.t.row(tid)
+			s.t.seen = append(s.t.seen, 0)
+			s.live++
+			for i := range s.lists {
+				if s.lists[i].ok {
+					s.refs[i]++
+				}
+			}
+		} else if s.t.scores[row] < 0 {
+			return
+		}
+	}
+	if bit := uint64(1) << uint(j); row >= 0 && s.t.scores[row] >= 0 && s.t.seen[row]&bit == 0 {
+		s.t.seen[row] |= bit
+		s.refs[j]--
+		s.t.scores[row] += score
+	}
+	s.steps++
+	if s.steps%sweepEvery == 0 {
+		s.sweep()
+	}
+}
+
+// sweep drops the candidates whose upper bound (partial sum plus the best
+// the lists they lack could add) cannot beat stopAt. A top-k first raises
+// stopAt to the kth largest partial sum, and keeps a candidate whose bound
+// equals it, since it may be one of the k that define it. For large
+// candidate sets the per-candidate walk over lacked lists is replaced by the
+// (sound, slightly weaker) residual Σ_live q_j·p'_j, keeping sweeps linear.
+func (s *search) sweep() {
+	s.r.rec.Add("inv.sweeps", 1)
+	s.r.rec.Max("inv.candidates", int64(s.live))
+	strict := s.k > 0
+	if strict {
+		s.stopAt = max(s.stopAt, s.kthPartial())
+	}
+	exact := s.live <= 1024
+	var residual float64
+	for _, l := range s.lists {
+		if l.ok {
+			residual += l.qp * l.prob
+		}
+	}
+	for row, ub := range s.t.scores {
+		if ub < 0 {
+			continue
+		}
+		if !exact {
+			ub += residual
+		} else {
+			for j, l := range s.lists {
+				if l.ok && s.t.seen[row]&(1<<uint(j)) == 0 {
+					ub += l.qp * l.prob
 				}
 			}
 		}
-		if c.seen&(1<<uint(best)) == 0 {
-			c.seen |= 1 << uint(best)
-			refs[best]--
-		}
-		c.partial += contribution
-
-		step++
-		if step%sweepEvery == 0 {
-			r.nraSweep(cs, cand, done, refs, tau, false)
+		if ub <= s.stopAt && (!strict || ub < s.stopAt) {
+			for j := range s.lists {
+				if s.t.seen[row]&(1<<uint(j)) == 0 {
+					s.refs[j]--
+				}
+			}
+			s.t.scores[row] = dropped
+			s.live--
 		}
 	}
-	r.nraSweep(cs, cand, done, refs, tau, false)
+}
 
-	// Phase 2: resolution. No new candidates are admitted; keep draining
-	// the lists that surviving candidates still reference (a list is
-	// effectively discarded once no candidate references it) until every
-	// candidate is discarded or exactly resolved — or few enough remain to
-	// resolve by random access.
-	for len(cand) > maxRA {
-		best := -1
-		var bestVal float64
-		for i, lc := range cs {
-			if !lc.ok || refs[i] == 0 {
-				continue // list exhausted or no candidate references it
-			}
-			if v := lc.qp * lc.prob; best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		if best == -1 {
-			break // all partials are exact now
-		}
-		lc := cs[best]
-		tid := lc.tid
-		contribution := lc.qp * lc.prob
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if c, live := cand[tid]; live && c.seen&(1<<uint(best)) == 0 {
-			c.seen |= 1 << uint(best)
-			refs[best]--
-			c.partial += contribution
-		}
-		step++
-		if step%sweepEvery == 0 {
-			r.nraSweep(cs, cand, done, refs, tau, false)
+// kthPartial returns the kth largest live partial sum (0 when fewer than k
+// candidates are live).
+func (s *search) kthPartial() float64 {
+	if s.live < s.k {
+		return 0
+	}
+	vals := s.t.vals[:0]
+	for _, sc := range s.t.scores {
+		if sc >= 0 {
+			vals = append(vals, sc)
 		}
 	}
+	s.t.vals = vals
+	return quickselectDesc(vals, s.k-1)
+}
 
-	// Emit. Candidates that still reference a live list were left for the
-	// random-access finish (the set is at most maxRA); the rest carry exact
-	// partials.
-	for tid, c := range cand {
-		unresolved := false
-		for i, lc := range cs {
-			if lc.ok && c.seen&(1<<uint(i)) == 0 {
-				unresolved = true
-				break
-			}
+// answers collects the search's result. A PETQ first probes every tuple
+// whose score is only a lower bound: all of them after row pruning skipped
+// a list, and, after NRA, the live candidates some live list may still
+// credit. NRA's top-k needs no probe: phase 2 drains every list a
+// candidate lacks.
+func (s *search) answers() ([]query.Match, error) {
+	if s.tk != nil {
+		return s.tk.Results(), nil
+	}
+	if s.k > 0 {
+		return s.t.topK(s.k), nil
+	}
+	var live uint64
+	for j, l := range s.lists {
+		if l.ok {
+			live |= 1 << uint(j)
 		}
-		if unresolved {
-			m, qualifies, err := r.verify(q, tid, tau)
+	}
+	for row, tid := range s.t.tids {
+		switch {
+		case s.visit == join && s.pruned,
+			s.visit == rankJoin && s.t.scores[row] >= 0 && live&^s.t.seen[row] != 0:
+			p, err := s.r.verify(s.q, tid)
 			if err != nil {
 				return nil, err
 			}
-			if qualifies {
-				res = append(res, m)
-			}
-			continue
-		}
-		if c.partial > tau {
-			res = append(res, query.Match{TID: tid, Prob: c.partial})
+			s.t.scores[row] = p
 		}
 	}
-	return res, nil
-}
-
-// nraDrop removes a candidate and releases its list references.
-func (r *Reader) nraDrop(cs []*listCursor, cand map[uint32]*nraCandidate, refs []int, tid uint32) {
-	c, ok := cand[tid]
-	if !ok {
-		return
-	}
-	for i := range cs {
-		if c.seen&(1<<uint(i)) == 0 {
-			refs[i]--
-		}
-	}
-	delete(cand, tid)
-}
-
-// nraSweep discards candidates whose upper bound (partial plus the best the
-// unseen, still-referenced lists could contribute) cannot exceed tau. For
-// large candidate sets the per-candidate unseen-list walk is replaced by the
-// (sound, slightly weaker) global residual Σ_live q_j·p'_j, keeping sweeps
-// linear in the candidate count.
-func (r *Reader) nraSweep(cs []*listCursor, cand map[uint32]*nraCandidate, done map[uint32]struct{}, refs []int, tau float64, strict bool) {
-	r.rec.Add("inv.sweeps", 1)
-	r.rec.Max("inv.candidates", int64(len(cand)))
-	exact := len(cand) <= 1024
-	var residual float64
-	for _, lc := range cs {
-		if lc.ok {
-			residual += lc.qp * lc.prob
-		}
-	}
-	for tid, c := range cand {
-		ub := c.partial
-		if exact {
-			for i, lc := range cs {
-				if !lc.ok || c.seen&(1<<uint(i)) != 0 {
-					continue
-				}
-				ub += lc.qp * lc.prob
-			}
-		} else {
-			ub += residual
-		}
-		if ub <= tau && (!strict || ub < tau) {
-			done[tid] = struct{}{}
-			r.nraDrop(cs, cand, refs, tid)
-		}
-	}
-}
-
-// nraTopK is the rank-join top-k: the pruning threshold is the kth largest
-// candidate lower bound (partial sum), which only rises as the lists drain.
-// Discovery stops when Lemma 1's frontier bound cannot beat it; resolution
-// drains the lists surviving candidates reference until every partial is
-// exact, and the k best exact scores win. No random accesses are needed.
-func (r *Reader) nraTopK(q uda.UDA, k int) ([]query.Match, error) {
-	cs, err := r.openCursors(q)
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) > 64 {
-		return r.frontierTopK(q, k, true)
-	}
-	cand := make(map[uint32]*nraCandidate)
-	done := make(map[uint32]struct{})
-	refs := make([]int, len(cs))
-
-	const sweepEvery = 4096
-	step := 0
-	tau := 0.0 // kth largest partial seen at the last sweep; rises monotonically
-
-	sweep := func() {
-		if t := kthLargestPartial(cand, k); t > tau {
-			tau = t
-		}
-		// Strict discard: the threshold is achieved by live candidates, so a
-		// candidate whose upper bound merely equals it may be one of the k
-		// that define it.
-		r.nraSweep(cs, cand, done, refs, tau, true)
-	}
-
-	// Discovery.
-	for {
-		best := -1
-		var bestVal float64
-		bound := 0.0
-		for i, lc := range cs {
-			if !lc.ok {
-				continue
-			}
-			v := lc.qp * lc.prob
-			bound += v
-			if best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		if best == -1 || bound <= tau {
-			break
-		}
-		lc := cs[best]
-		tid := lc.tid
-		contribution := lc.qp * lc.prob
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if _, over := done[tid]; over {
-			continue
-		}
-		c := cand[tid]
-		if c == nil {
-			c = &nraCandidate{}
-			cand[tid] = c
-			for i, l := range cs {
-				if l.ok {
-					refs[i]++
-				}
-			}
-		}
-		if c.seen&(1<<uint(best)) == 0 {
-			c.seen |= 1 << uint(best)
-			refs[best]--
-		}
-		c.partial += contribution
-
-		step++
-		if step%sweepEvery == 0 {
-			sweep()
-		}
-	}
-	sweep()
-
-	// Resolution: drain referenced lists until every partial is exact.
-	for {
-		best := -1
-		var bestVal float64
-		for i, lc := range cs {
-			if !lc.ok || refs[i] == 0 {
-				continue
-			}
-			if v := lc.qp * lc.prob; best == -1 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		if best == -1 {
-			break
-		}
-		lc := cs[best]
-		tid := lc.tid
-		contribution := lc.qp * lc.prob
-		if err := lc.advance(); err != nil {
-			return nil, err
-		}
-		if c, live := cand[tid]; live && c.seen&(1<<uint(best)) == 0 {
-			c.seen |= 1 << uint(best)
-			refs[best]--
-			c.partial += contribution
-		}
-		step++
-		if step%sweepEvery == 0 {
-			sweep()
-		}
-	}
-
-	tk := query.NewTopK(k)
-	for tid, c := range cand {
-		tk.Offer(query.Match{TID: tid, Prob: c.partial})
-	}
-	return tk.Results(), nil
-}
-
-// kthLargestPartial returns the kth largest partial among the candidates
-// (0 when fewer than k candidates exist), via quickselect.
-func kthLargestPartial(cand map[uint32]*nraCandidate, k int) float64 {
-	if len(cand) < k {
-		return 0
-	}
-	vals := make([]float64, 0, len(cand))
-	for _, c := range cand {
-		vals = append(vals, c.partial)
-	}
-	return quickselectDesc(vals, k-1)
+	return s.t.matches(s.tau), nil
 }
 
 // quickselectDesc returns the element that would sit at index i if vals were

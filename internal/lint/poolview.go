@@ -28,7 +28,7 @@ import (
 // A function is considered a query entry point when its name contains one
 // of the query-operator markers (petq, peq, topk, dstq — case-insensitive),
 // which covers the exported API (PETQ, WindowTopK, DSTopK, MultiPETQ, …)
-// and the unexported strategy twins (petq, nraTopK, scanPETQ, …) alike.
+// and the unexported strategy twins (bruteForceTopK, scanPETQ, …) alike.
 // Write-path code (Insert, splits, bulk load) legitimately owns a
 // *pager.Pool and is not matched.
 func PoolViewCheck() *Check {

@@ -2,7 +2,6 @@ package query
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 )
 
@@ -26,32 +25,20 @@ func SortNeighbors(ns []Neighbor) {
 	})
 }
 
-// neighborHeap is a max-heap on distance (ties: larger tid first), so the
-// *worst* retained neighbor sits at the root.
-type neighborHeap []Neighbor
-
-func (h neighborHeap) Len() int { return len(h) }
-func (h neighborHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist { //ucatlint:ignore floatcmp exact tie-break for a deterministic heap order
-		return h[i].Dist > h[j].Dist
+// fartherNeighbor orders NearestK's max-heap: larger distance first, ties
+// by larger tid, so the worst neighbor held sits at the root.
+func fartherNeighbor(a, b Neighbor) bool {
+	if a.Dist != b.Dist { //ucatlint:ignore floatcmp exact tie-break for a deterministic heap order
+		return a.Dist > b.Dist
 	}
-	return h[i].TID > h[j].TID
-}
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.TID > b.TID
 }
 
 // NearestK accumulates the k nearest neighbors seen so far, exposing the
 // current kth-smallest distance as a pruning threshold (DSQ-top-k).
 type NearestK struct {
 	n int
-	h neighborHeap
+	h []Neighbor // a heap under fartherNeighbor
 }
 
 // NewNearestK returns an accumulator for the k smallest-distance neighbors.
@@ -59,20 +46,19 @@ func NewNearestK(k int) *NearestK {
 	if k <= 0 {
 		panic("query: NewNearestK requires k > 0")
 	}
-	return &NearestK{n: k, h: make(neighborHeap, 0, k)}
+	return &NearestK{n: k, h: make([]Neighbor, 0, k)}
 }
 
 // Offer considers a candidate neighbor.
 func (t *NearestK) Offer(n Neighbor) {
 	if len(t.h) < t.n {
-		heap.Push(&t.h, n)
+		t.h = append(t.h, n)
+		siftUp(t.h, len(t.h)-1, fartherNeighbor)
 		return
 	}
-	root := t.h[0]
-	//ucatlint:ignore floatcmp exact tie-break keeps replacement consistent with the heap order
-	if root.Dist > n.Dist || (root.Dist == n.Dist && root.TID > n.TID) {
+	if fartherNeighbor(t.h[0], n) {
 		t.h[0] = n
-		heap.Fix(&t.h, 0)
+		siftDown(t.h, 0, fartherNeighbor)
 	}
 }
 

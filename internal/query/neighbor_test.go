@@ -1,7 +1,6 @@
 package query
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -140,26 +139,30 @@ func TestNearestKRejectsWorse(t *testing.T) {
 	}
 }
 
-// TestNeighborHeapPop exercises the heap.Interface Pop method (NearestK
-// itself only replaces the root, so Pop is otherwise reachable only through
-// container/heap clients).
+// TestNeighborHeapPop drains a heap built by siftUp, popping the root and
+// restoring the heap with siftDown as container/heap's Pop would. NearestK
+// itself only replaces the root, so this is the one place a sift-down runs
+// from a shrinking heap.
 func TestNeighborHeapPop(t *testing.T) {
-	h := neighborHeap{}
-	heap.Init(&h)
+	var h []Neighbor
 	for _, n := range []Neighbor{{1, 0.2}, {2, 0.8}, {3, 0.5}, {4, 0.8}} {
-		heap.Push(&h, n)
+		h = append(h, n)
+		siftUp(h, len(h)-1, fartherNeighbor)
 	}
 	// Max-heap on distance, ties by larger tid first: pops arrive worst
 	// first.
 	want := []Neighbor{{4, 0.8}, {2, 0.8}, {3, 0.5}, {1, 0.2}}
 	for i, w := range want {
-		got := heap.Pop(&h).(Neighbor)
+		got := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0, fartherNeighbor)
 		if got != w {
 			t.Fatalf("pop %d = %v, want %v", i, got, w)
 		}
 	}
-	if h.Len() != 0 {
-		t.Errorf("heap not drained: %d left", h.Len())
+	if len(h) != 0 {
+		t.Errorf("heap not drained: %d left", len(h))
 	}
 }
 

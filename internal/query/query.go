@@ -9,7 +9,6 @@ package query
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 )
 
@@ -34,32 +33,52 @@ func SortMatches(ms []Match) {
 	})
 }
 
-// matchHeap is a min-heap on probability (ties: larger tid first, so the
-// weakest entry — lowest prob, largest tid — sits at the root).
-type matchHeap []Match
-
-func (h matchHeap) Len() int { return len(h) }
-func (h matchHeap) Less(i, j int) bool {
-	if h[i].Prob != h[j].Prob { //ucatlint:ignore floatcmp exact tie-break for a deterministic heap order
-		return h[i].Prob < h[j].Prob
+// weakerMatch orders TopK's min-heap: lower probability first, ties by
+// larger tid, so the weakest match held — lowest prob, largest tid — sits
+// at the root.
+func weakerMatch(a, b Match) bool {
+	if a.Prob != b.Prob { //ucatlint:ignore floatcmp exact tie-break for a deterministic heap order
+		return a.Prob < b.Prob
 	}
-	return h[i].TID > h[j].TID
+	return a.TID > b.TID
 }
-func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
-func (h *matchHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// siftUp and siftDown are container/heap's up and down over a typed slice,
+// so offering a match or neighbor boxes nothing in an interface. less puts
+// the root first.
+func siftUp[T any](h []T, j int, less func(a, b T) bool) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !less(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func siftDown[T any](h []T, i int, less func(a, b T) bool) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j2 := j + 1; j2 < len(h) && less(h[j2], h[j]) {
+			j = j2
+		}
+		if !less(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // TopK accumulates the k best matches seen so far and exposes the paper's
 // dynamically rising threshold.
 type TopK struct {
 	n int
-	h matchHeap
+	h []Match // a heap under weakerMatch
 }
 
 // NewTopK returns an accumulator for the k highest-probability matches.
@@ -68,7 +87,7 @@ func NewTopK(k int) *TopK {
 	if k <= 0 {
 		panic("query: NewTopK requires k > 0")
 	}
-	return &TopK{n: k, h: make(matchHeap, 0, k)}
+	return &TopK{n: k, h: make([]Match, 0, k)}
 }
 
 // Offer considers a candidate match. Matches with zero probability are never
@@ -78,15 +97,14 @@ func (t *TopK) Offer(m Match) {
 		return
 	}
 	if len(t.h) < t.n {
-		heap.Push(&t.h, m)
+		t.h = append(t.h, m)
+		siftUp(t.h, len(t.h)-1, weakerMatch)
 		return
 	}
 	// Replace the weakest held match if m beats it under the heap order.
-	root := t.h[0]
-	//ucatlint:ignore floatcmp exact tie-break keeps replacement consistent with the heap order
-	if root.Prob < m.Prob || (root.Prob == m.Prob && root.TID > m.TID) {
+	if weakerMatch(t.h[0], m) {
 		t.h[0] = m
-		heap.Fix(&t.h, 0)
+		siftDown(t.h, 0, weakerMatch)
 	}
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -108,4 +109,69 @@ func TestNewTopKPanicsOnBadK(t *testing.T) {
 		}
 	}()
 	NewTopK(0)
+}
+
+// refHeap is the container/heap min-heap TopK and NearestK were built on
+// before their typed sifts, kept as the reference the sifts must match.
+type refHeap struct {
+	ms   []Match
+	less func(a, b Match) bool
+}
+
+func (h *refHeap) Len() int           { return len(h.ms) }
+func (h *refHeap) Less(i, j int) bool { return h.less(h.ms[i], h.ms[j]) }
+func (h *refHeap) Swap(i, j int)      { h.ms[i], h.ms[j] = h.ms[j], h.ms[i] }
+func (h *refHeap) Push(x any)         { h.ms = append(h.ms, x.(Match)) }
+func (h *refHeap) Pop() any {
+	x := h.ms[len(h.ms)-1]
+	h.ms = h.ms[:len(h.ms)-1]
+	return x
+}
+
+// TestTypedHeapsMatchContainerHeap offers the same heavily tied stream to
+// TopK, NearestK and container/heap run with the same order and replace
+// rule, and requires the same heap layout after every offer, hence the same
+// Threshold, Full and Results.
+func TestTypedHeapsMatchContainerHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + r.Intn(12)
+		tk, nk := NewTopK(k), NewNearestK(k)
+		ref := &refHeap{less: weakerMatch}
+		nref := &refHeap{less: func(a, b Match) bool {
+			return fartherNeighbor(Neighbor{a.TID, a.Prob}, Neighbor{b.TID, b.Prob})
+		}}
+		for i := 0; i < 60; i++ {
+			m := Match{TID: uint32(r.Intn(40)), Prob: float64(r.Intn(6)) / 5}
+			tk.Offer(m)
+			nk.Offer(Neighbor{TID: m.TID, Dist: m.Prob})
+			if m.Prob > 0 {
+				if ref.Len() < k {
+					heap.Push(ref, m)
+				} else if weakerMatch(ref.ms[0], m) {
+					ref.ms[0] = m
+					heap.Fix(ref, 0)
+				}
+			}
+			if nref.Len() < k {
+				heap.Push(nref, m)
+			} else if nref.less(nref.ms[0], m) {
+				nref.ms[0] = m
+				heap.Fix(nref, 0)
+			}
+			if len(tk.h) != ref.Len() || len(nk.h) != nref.Len() {
+				t.Fatalf("trial %d offer %d: sizes %d/%d, container/heap %d/%d", trial, i, len(tk.h), len(nk.h), ref.Len(), nref.Len())
+			}
+			for j := range tk.h {
+				if tk.h[j] != ref.ms[j] {
+					t.Fatalf("trial %d offer %d: TopK heap %v, container/heap %v", trial, i, tk.h, ref.ms)
+				}
+			}
+			for j := range nk.h {
+				if nk.h[j] != (Neighbor{nref.ms[j].TID, nref.ms[j].Prob}) {
+					t.Fatalf("trial %d offer %d: NearestK heap %v, container/heap %v", trial, i, nk.h, nref.ms)
+				}
+			}
+		}
+	}
 }

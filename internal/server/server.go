@@ -251,8 +251,17 @@ func New(cfg Config) (*Server, error) {
 		// After each fold, serve the next epoch: new base, fresh shared pool
 		// over its store. Failures keep the old epoch serving — the live view
 		// still answers correctly through it via ViewOn's previous-generation
-		// fallback until the next fold retries.
-		s.live.SetOnSwap(func(next *core.Relation) {
+		// fallback until the next fold retries. A failed background fold is
+		// logged; the next trigger resumes it.
+		logger := cfg.Logger
+		if logger == nil {
+			logger = slog.Default()
+		}
+		s.live.SetOnSwap(func(next *core.Relation, err error) {
+			if err != nil {
+				logger.Error("checkpoint fold failed", "err", err)
+				return
+			}
 			if nep, err := s.buildEpoch(next, policy); err == nil {
 				s.epoch.Store(nep)
 			}
