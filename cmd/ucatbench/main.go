@@ -56,7 +56,6 @@ func main() {
 		parallel   = flag.Bool("parallel", false, "run the selected figures concurrently (order preserved in output)")
 		workers    = flag.Int("workers", defaultWorkers(), "goroutines per data point's query batch; 0 = GOMAXPROCS (default from UCAT_BENCH_WORKERS)")
 		decCache   = flag.Bool("decodecache", true, "enable the relation-wide decoded-page cache (never changes I/O counts; off is for A/B measurement)")
-		readahead  = flag.Bool("readahead", false, "enable sibling-leaf prefetch on inverted-list scans (prefetch reads are counted outside the I/O metric)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		debugAddr  = flag.String("debugaddr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	params := exp.Params{Scale: *scale, Queries: *queries, Seed: *seed, Workers: *workers,
-		NoDecodeCache: !*decCache, Readahead: *readahead}
+		NoDecodeCache: !*decCache}
 	if *strategy != "" {
 		found := false
 		for _, s := range invidx.Strategies {

@@ -73,25 +73,11 @@ type Tree struct {
 	// which bumps the version — no explicit invalidation exists or is
 	// needed.
 	cache *dcache.Cache
-	// readahead, when true, issues a Prefetch hint for the right sibling as
-	// each leaf is decoded during scans/cursor walks. Off by default: a
-	// prefetch turns the next leaf's demand fetch into a pool hit, which
-	// (intentionally) changes the paper's I/O figures.
-	readahead bool
 }
 
 // SetCache attaches a decoded-leaf cache (typically shared relation-wide).
 // Nil disables cached decoding.
 func (t *Tree) SetCache(c *dcache.Cache) { t.cache = c }
-
-// SetReadahead enables or disables the sibling-leaf prefetch hint on scans.
-func (t *Tree) SetReadahead(on bool) { t.readahead = on }
-
-// Prefetcher is the optional view capability leaf readahead uses; *pager.Pool
-// implements it. Views without it simply never prefetch.
-type Prefetcher interface {
-	Prefetch(pid pager.PageID) error
-}
 
 // decodedLeaf is the cache value for one leaf page: its keys in order plus
 // the right-sibling link. Shared across queries; immutable once published.
@@ -139,18 +125,6 @@ func (t *Tree) cachedLeaf(v pager.View, pid pager.PageID) (*decodedLeaf, error) 
 	pg.Unpin(false)
 	t.cache.Put(pid, ver, dl, dl.memSize())
 	return dl, nil
-}
-
-// maybePrefetch issues the opt-in readahead hint for a leaf's right sibling.
-// It is best-effort: a view without the Prefetch capability, or a pool too
-// pinned to take the page, simply skips the hint.
-func (t *Tree) maybePrefetch(v pager.View, link pager.PageID) {
-	if !t.readahead || link == pager.InvalidPage {
-		return
-	}
-	if pf, ok := v.(Prefetcher); ok {
-		_ = pf.Prefetch(link) // a failed hint must never fail the scan
-	}
 }
 
 // New creates an empty tree whose root is a fresh leaf page.
@@ -634,7 +608,6 @@ func (t *Tree) ScanVia(v pager.View, start Key, fn func(Key) bool) error {
 			pg.Unpin(false)
 			keys, link = scratch.keys, scratch.link
 		}
-		t.maybePrefetch(v, link)
 		for i := searchKeys(keys, start); i < len(keys); i++ {
 			if !fn(keys[i]) {
 				return nil

@@ -112,7 +112,6 @@ func (c *Cursor) loadLeaf() error {
 		c.leafKeys, c.leafLink = c.scratch.keys, c.scratch.link
 	}
 	c.leafPid = c.pid
-	t.maybePrefetch(c.view, c.leafLink)
 	return nil
 }
 

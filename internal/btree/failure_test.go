@@ -55,20 +55,15 @@ func TestCorruptNodeKindDetected(t *testing.T) {
 	if _, err := tr.Insert(intKey(1)); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	// Corrupt the root's kind byte directly in the store.
+	// Corrupt the root's kind byte and write it through to the store.
+	pg, err := pool.Fetch(tr.Root())
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	pg.Data[0] = 99
+	pg.Unpin(true)
 	if err := pool.FlushAll(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
-	}
-	if err := pool.Clear(); err != nil {
-		t.Fatalf("Clear: %v", err)
-	}
-	buf := make([]byte, pager.PageSize)
-	if err := pool.Store().ReadAt(tr.Root(), buf); err != nil {
-		t.Fatalf("ReadAt: %v", err)
-	}
-	buf[0] = 99
-	if err := pool.Store().WriteAt(tr.Root(), buf); err != nil {
-		t.Fatalf("WriteAt: %v", err)
 	}
 	if err := tr.CheckInvariants(); err == nil {
 		t.Errorf("corrupt kind byte passed CheckInvariants")

@@ -84,11 +84,6 @@ type Options struct {
 	// DecodeCacheBytes bounds the decoded-page cache's memory;
 	// 0 means dcache.DefaultBytes.
 	DecodeCacheBytes int
-	// Readahead enables sibling-leaf prefetch on inverted-list B+-tree scans.
-	// Off by default: prefetch reads are counted outside the paper's I/O
-	// metric, but the default stays conservative so figure runs exercise the
-	// exact demand-fetch sequence of the paper unless explicitly opted in.
-	Readahead bool
 }
 
 // Relation is a single-uncertain-attribute relation with an optional index.
@@ -129,11 +124,11 @@ func NewRelation(opts Options) (*Relation, error) {
 }
 
 // applyCacheOptions creates the relation-wide decoded-page cache (unless
-// disabled) and injects it — plus the readahead setting — into every
-// component. One cache serves the whole relation: page ids are unique per
-// store, so heap pages, inverted-list leaves and PDR-tree nodes share the
-// budget without colliding. Cache counters are mirrored into the process
-// metrics registry (ucat_dcache_* on /metrics).
+// disabled) and injects it into every component. One cache serves the whole
+// relation: page ids are unique per store, so heap pages, inverted-list
+// leaves and PDR-tree nodes share the budget without colliding. Cache
+// counters are mirrored into the process metrics registry (ucat_dcache_* on
+// /metrics).
 func (r *Relation) applyCacheOptions() {
 	if !r.opts.NoDecodeCache {
 		r.cache = dcache.New(int64(r.opts.DecodeCacheBytes))
@@ -144,7 +139,6 @@ func (r *Relation) applyCacheOptions() {
 		r.tuples.SetCache(r.cache)
 	case InvertedIndex:
 		r.inv.SetCache(r.cache) // covers the shared heap and every list
-		r.inv.SetReadahead(r.opts.Readahead)
 	case PDRTree:
 		r.tuples.SetCache(r.cache)
 		r.pdr.SetCache(r.cache)

@@ -17,8 +17,9 @@ import (
 )
 
 // ctxView is a pager.View that fails fetches once its context is done. It
-// forwards the optional capabilities (Stats, Evictions, Prefetch, Recorder)
-// so instrumentation and readahead keep working through the wrapper.
+// forwards the Recorder capability so tracing keeps working through the
+// wrapper. WithContext always wraps outermost, so nothing reads any other
+// capability through it.
 type ctxView struct {
 	ctx context.Context
 	v   pager.View
@@ -32,45 +33,6 @@ func (cv *ctxView) Fetch(pid pager.PageID) (*pager.Page, error) {
 		return nil, err
 	}
 	return cv.v.Fetch(pid)
-}
-
-// viewStats / viewEvictions / viewPrefetch mirror the optional view
-// capabilities obs.InstrumentView forwards; keeping them identical means a
-// ctxView can wrap an instrumented view (or vice versa) without losing
-// tracing, I/O attribution or readahead.
-type viewStats interface{ Stats() pager.Stats }
-type viewEvictions interface{ Evictions() uint64 }
-type viewPrefetch interface {
-	Prefetch(pid pager.PageID) error
-}
-
-// Stats passes through the wrapped view's I/O counters (zero when the view
-// cannot report them).
-func (cv *ctxView) Stats() pager.Stats {
-	if st, ok := cv.v.(viewStats); ok {
-		return st.Stats()
-	}
-	return pager.Stats{}
-}
-
-// Evictions passes through the wrapped view's eviction counter.
-func (cv *ctxView) Evictions() uint64 {
-	if ev, ok := cv.v.(viewEvictions); ok {
-		return ev.Evictions()
-	}
-	return 0
-}
-
-// Prefetch forwards readahead hints; prefetch is best-effort by contract, so
-// a done context simply drops the hint.
-func (cv *ctxView) Prefetch(pid pager.PageID) error {
-	if cv.ctx.Err() != nil {
-		return nil
-	}
-	if pf, ok := cv.v.(viewPrefetch); ok {
-		return pf.Prefetch(pid)
-	}
-	return nil
 }
 
 // Recorder exposes the wrapped view's trace recorder so obs.RecorderOf keeps

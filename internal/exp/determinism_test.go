@@ -188,42 +188,37 @@ func TestMeasureEachMergesInInputOrder(t *testing.T) {
 // cache (DESIGN.md §15): the cache sits above the buffer pool and only skips
 // deserialization, never a fetch, so the paper's I/O metric must be
 // bit-identical with the cache on or off — for both index kinds, sequential
-// and parallel. Readahead is held equal on both sides of each comparison:
-// unlike the cache it legitimately changes demand I/Os (prefetched pages
-// turn later misses into pool hits), which is why it is off by default and
-// excluded from figure runs.
+// and parallel.
 func TestMeasureIOsIdenticalCacheOnOff(t *testing.T) {
 	d := dataset.Uniform(11, 2000)
 	w := newWorkload(d, 6, 11)
 	for _, kind := range []core.Kind{core.InvertedIndex, core.PDRTree} {
-		for _, readahead := range []bool{false, true} {
-			pOff := Params{BuildFrames: 1024, NoDecodeCache: true, Readahead: readahead}.withDefaults()
-			relOff, err := buildRelation(d, core.Options{Kind: kind}, pOff)
+		pOff := Params{BuildFrames: 1024, NoDecodeCache: true}.withDefaults()
+		relOff, err := buildRelation(d, core.Options{Kind: kind}, pOff)
+		if err != nil {
+			t.Fatalf("build kind=%v cache=off: %v", kind, err)
+		}
+		pOn := Params{BuildFrames: 1024}.withDefaults()
+		relOn, err := buildRelation(d, core.Options{Kind: kind}, pOn)
+		if err != nil {
+			t.Fatalf("build kind=%v cache=on: %v", kind, err)
+		}
+		for _, workers := range []int{1, 4} {
+			mOff, err := measure(relOff, w, 0.01, false, workers)
 			if err != nil {
-				t.Fatalf("build kind=%v cache=off: %v", kind, err)
+				t.Fatalf("measure cache=off: %v", err)
 			}
-			pOn := Params{BuildFrames: 1024, Readahead: readahead}.withDefaults()
-			relOn, err := buildRelation(d, core.Options{Kind: kind}, pOn)
+			mOn, err := measure(relOn, w, 0.01, false, workers)
 			if err != nil {
-				t.Fatalf("build kind=%v cache=on: %v", kind, err)
+				t.Fatalf("measure cache=on: %v", err)
 			}
-			for _, workers := range []int{1, 4} {
-				mOff, err := measure(relOff, w, 0.01, false, workers)
-				if err != nil {
-					t.Fatalf("measure cache=off: %v", err)
-				}
-				mOn, err := measure(relOn, w, 0.01, false, workers)
-				if err != nil {
-					t.Fatalf("measure cache=on: %v", err)
-				}
-				if mOn.IOs != mOff.IOs { //ucatlint:ignore floatcmp exact cache-on/off determinism is the contract under test
-					t.Errorf("kind=%v readahead=%v workers=%d: cache-on %g I/Os, cache-off %g; cache must never change I/O counts",
-						kind, readahead, workers, mOn.IOs, mOff.IOs)
-				}
-				if workers == 1 {
-					if c := relOn.DecodeCache(); c.Stats().Hits == 0 {
-						t.Errorf("kind=%v: decode cache never hit; cache is not actually engaged", kind)
-					}
+			if mOn.IOs != mOff.IOs { //ucatlint:ignore floatcmp exact cache-on/off determinism is the contract under test
+				t.Errorf("kind=%v workers=%d: cache-on %g I/Os, cache-off %g; cache must never change I/O counts",
+					kind, workers, mOn.IOs, mOff.IOs)
+			}
+			if workers == 1 {
+				if c := relOn.DecodeCache(); c.Stats().Hits == 0 {
+					t.Errorf("kind=%v: decode cache never hit; cache is not actually engaged", kind)
 				}
 			}
 		}

@@ -73,10 +73,6 @@ type Params struct {
 	NoDecodeCache bool
 	// DecodeCacheBytes bounds each relation's decode cache; 0 = default.
 	DecodeCacheBytes int
-	// Readahead enables sibling-leaf prefetch on inverted-list scans.
-	// Prefetch reads are accounted outside pager.Stats, so I/O figures are
-	// again unchanged; off by default.
-	Readahead bool
 }
 
 func (p Params) withDefaults() Params {
@@ -295,7 +291,7 @@ type access struct {
 
 // buildRelation loads the dataset into a fresh relation under a large build
 // pool, then shrinks the pool to the paper's 100 frames for querying. The
-// run-wide cache/readahead knobs are applied here so every access method in
+// run-wide cache knobs are applied here so every access method in
 // a figure is built under the same configuration. PDR-trees prune with the
 // paper's Lemma 2 alone, so the figures measure the paper's index.
 func buildRelation(d *dataset.Dataset, opts core.Options, p Params) (*core.Relation, error) {
@@ -309,7 +305,6 @@ func buildRelationBound(d *dataset.Dataset, opts core.Options, p Params) (*core.
 	opts.PoolFrames = p.BuildFrames
 	opts.NoDecodeCache = p.NoDecodeCache
 	opts.DecodeCacheBytes = p.DecodeCacheBytes
-	opts.Readahead = p.Readahead
 	rel, err := core.NewRelation(opts)
 	if err != nil {
 		return nil, err

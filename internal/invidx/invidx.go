@@ -41,13 +41,10 @@ type Index struct {
 	pool   *pager.Pool
 	dir    map[uint32]*btree.Tree
 	tuples *tuplestore.Store
-	// cache/readahead are inherited by every inverted list, including ones
-	// created lazily after the setters ran. The cache holds decoded list
-	// leaves and heap pages (page ids are unique per store, so one cache
-	// serves everything); readahead is the opt-in sibling prefetch on list
-	// scans.
-	cache     *dcache.Cache
-	readahead bool
+	// cache is inherited by every inverted list, including ones created
+	// lazily after SetCache ran. It holds decoded list leaves and heap pages
+	// (page ids are unique per store, so one cache serves everything).
+	cache *dcache.Cache
 }
 
 // New creates an empty index performing all I/O through pool.
@@ -211,17 +208,8 @@ func (ix *Index) SetCache(c *dcache.Cache) {
 	}
 }
 
-// SetReadahead toggles the opt-in sibling-leaf prefetch on every inverted
-// list's scans, present and future.
-func (ix *Index) SetReadahead(on bool) {
-	ix.readahead = on
-	for _, t := range ix.dir {
-		t.SetReadahead(on)
-	}
-}
-
 // list returns item's B-tree, creating it on first use. New lists inherit
-// the index's cache and readahead settings.
+// the index's cache.
 func (ix *Index) list(item uint32) (*btree.Tree, error) {
 	if t, ok := ix.dir[item]; ok {
 		return t, nil
@@ -231,7 +219,6 @@ func (ix *Index) list(item uint32) (*btree.Tree, error) {
 		return nil, err
 	}
 	t.SetCache(ix.cache)
-	t.SetReadahead(ix.readahead)
 	ix.dir[item] = t
 	return t, nil
 }

@@ -367,13 +367,23 @@ func (r *Reader) frontier(q uda.UDA, s Strategy, tau float64, k int) ([]query.Ma
 	default:
 		return nil, fmt.Errorf("invidx: unknown strategy %v", s)
 	}
+	if sr.visit == rankJoin {
+		// The seen mask caps the number of lists at 64, so an absurdly
+		// wide query falls back to the safe strategy. Count before open:
+		// opening a cursor fetches its first leaf path, and open keeps
+		// exactly the non-empty lists.
+		n := 0
+		for _, p := range pairs {
+			if tree, ok := r.ix.dir[p.Item]; ok && tree.Len() > 0 {
+				n++
+			}
+		}
+		if n > 64 {
+			return r.frontier(q, HighestProbFirst, tau, k)
+		}
+	}
 	if err := sr.open(pairs); err != nil {
 		return nil, err
-	}
-	if sr.visit == rankJoin && len(sr.lists) > 64 {
-		// The seen mask caps the number of lists; fall back to the safe
-		// strategy for absurdly wide queries.
-		return r.frontier(q, HighestProbFirst, tau, k)
 	}
 	sr.t = acquireScoreTable(r.ix.distinctBound(pairs))
 	defer sr.t.release()

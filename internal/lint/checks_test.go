@@ -139,105 +139,6 @@ func f(a, b float64) bool { return a == b }
 	expect(t, Run([]*Package{pkg}, []*Check{FloatcmpCheck()}), nil)
 }
 
-func TestIOAccount(t *testing.T) {
-	tests := []struct {
-		name string
-		path string
-		src  string
-		want []string
-	}{
-		{
-			name: "direct ReadAt flagged",
-			path: "ucat/internal/tuplestore",
-			src: `package tuplestore
-import "ucat/internal/pager"
-func f(s *pager.Store, buf []byte) error { return s.ReadAt(1, buf) }
-`,
-			want: []string{"direct Store.ReadAt bypasses the counted buffer pool"},
-		},
-		{
-			name: "direct WriteAt flagged",
-			path: "ucat/internal/btree",
-			src: `package btree
-import "ucat/internal/pager"
-func f(s *pager.Store, buf []byte) error { return s.WriteAt(1, buf) }
-`,
-			want: []string{"direct Store.WriteAt bypasses the counted buffer pool"},
-		},
-		{
-			name: "direct Allocate and Free flagged",
-			path: testPkgPath,
-			src: `package p
-import "ucat/internal/pager"
-func f(s *pager.Store) error {
-	pid := s.Allocate()
-	return s.Free(pid)
-}
-`,
-			want: []string{"direct Store.Allocate", "direct Store.Free"},
-		},
-		{
-			name: "store reached through the pool accessor still flagged",
-			path: testPkgPath,
-			src: `package p
-import "ucat/internal/pager"
-func f(p *pager.Pool, buf []byte) error { return p.Store().ReadAt(1, buf) }
-`,
-			want: []string{"direct Store.ReadAt"},
-		},
-		{
-			name: "pager package itself exempt",
-			path: pagerPath,
-			src: `package pager
-type Store struct{}
-func (s *Store) ReadAt(pid uint32, dst []byte) error { return nil }
-func f(s *Store, buf []byte) error { return s.ReadAt(1, buf) }
-`,
-			want: nil,
-		},
-		{
-			name: "pool access not flagged",
-			path: testPkgPath,
-			src: `package p
-import "ucat/internal/pager"
-func f(p *pager.Pool) error {
-	pg, err := p.Fetch(1)
-	if err != nil {
-		return err
-	}
-	pg.Unpin(false)
-	return nil
-}
-`,
-			want: nil,
-		},
-		{
-			name: "unrelated ReadAt method not flagged",
-			path: testPkgPath,
-			src: `package p
-type file struct{}
-func (f *file) ReadAt(pid uint32, b []byte) error { return nil }
-func g(f *file, b []byte) error { return f.ReadAt(1, b) }
-`,
-			want: nil,
-		},
-		{
-			name: "metadata accessors not flagged",
-			path: testPkgPath,
-			src: `package p
-import "ucat/internal/pager"
-func f(s *pager.Store) int { return s.NumPages() }
-`,
-			want: nil,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			expect(t, runOn(t, IOAccountCheck(), tt.path, tt.src), tt.want)
-		})
-	}
-}
-
 func TestDroppedErr(t *testing.T) {
 	tests := []struct {
 		name string

@@ -12,9 +12,10 @@
 //   - Probability arithmetic: probability mass must sum to 1 within a
 //     tolerance, so exact float comparison is almost always a bug (floatcmp).
 //   - I/O accounting: the paper's headline metric is "disk I/Os per query",
-//     which is only meaningful if every page access flows through the counted
-//     buffer pool (ioaccount) and every flush/close error is observed
-//     (droppederr) and every pinned page is released (pinleak).
+//     which is only meaningful if every flush/close error is observed
+//     (droppederr) and every pinned page is released (pinleak). That every
+//     page access flows through the counted buffer pool needs no check: the
+//     store's page-access methods are unexported.
 //   - Determinism: experiments must thread an explicitly seeded *rand.Rand;
 //     the global math/rand functions destroy reproducibility (globalrand),
 //     and read-only query entry points must accept an injected pager.View so
@@ -84,7 +85,6 @@ const DirectiveCheck = "directive"
 func AllChecks() []*Check {
 	return []*Check{
 		FloatcmpCheck(),
-		IOAccountCheck(),
 		DroppedErrCheck(),
 		GlobalRandCheck(),
 		PinleakCheck(),
@@ -248,8 +248,9 @@ func directiveText(comment string) (string, bool) {
 	return strings.TrimSpace(rest), true
 }
 
-// pagerPath is the one package allowed to touch the raw page store: all
-// other packages must go through its counted buffer pool.
+// pagerPath is the pager package's import path: the checks that reason about
+// pages, pools and views recognise their types by it, and exempt the package
+// itself.
 const pagerPath = "ucat/internal/pager"
 
 // isTestFile reports whether the file's position name ends in _test.go. The

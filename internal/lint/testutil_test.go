@@ -19,14 +19,6 @@ var stubSources = map[string]string{
 
 type PageID uint32
 
-type Store struct{}
-
-func (s *Store) ReadAt(pid PageID, dst []byte) error  { return nil }
-func (s *Store) WriteAt(pid PageID, src []byte) error { return nil }
-func (s *Store) Allocate() PageID                     { return 0 }
-func (s *Store) Free(pid PageID) error                { return nil }
-func (s *Store) NumPages() int                        { return 0 }
-
 type Page struct {
 	ID   PageID
 	Data []byte
@@ -42,7 +34,6 @@ type Pool struct{}
 
 func (p *Pool) Fetch(pid PageID) (*Page, error) { return nil, nil }
 func (p *Pool) NewPage() (*Page, error)         { return nil, nil }
-func (p *Pool) Store() *Store                   { return nil }
 func (p *Pool) FlushAll() error                 { return nil }
 `,
 	"ucat/internal/obs": `package obs

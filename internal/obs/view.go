@@ -84,28 +84,6 @@ func (iv *instrumentedView) Fetch(pid pager.PageID) (*pager.Page, error) {
 	return pg, nil
 }
 
-// viewPrefetch is the optional readahead capability; *pager.Pool implements
-// it. The wrapper forwards the hint so opt-in leaf readahead keeps working
-// under instrumentation, attributing issued prefetches to the current span
-// (they are NOT I/Os — the pager counts them outside Stats on purpose).
-type viewPrefetch interface {
-	Prefetch(pid pager.PageID) error
-}
-
-// Prefetch forwards the readahead hint to the wrapped view. Views without
-// the capability ignore the hint (prefetch is best-effort by contract).
-func (iv *instrumentedView) Prefetch(pid pager.PageID) error {
-	pf, ok := iv.v.(viewPrefetch)
-	if !ok {
-		return nil
-	}
-	err := pf.Prefetch(pid)
-	if err == nil {
-		iv.rec.Add("pager.prefetches", 1)
-	}
-	return err
-}
-
 // Recorder returns the bound recorder (the RecorderOf discovery hook).
 func (iv *instrumentedView) Recorder() *Recorder { return iv.rec }
 

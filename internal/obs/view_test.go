@@ -6,13 +6,20 @@ import (
 	"ucat/internal/pager"
 )
 
-// prepStore allocates n pages in a fresh store.
+// prepStore allocates n pages in a fresh store through a throwaway pool, so
+// the pool under test starts cold.
 func prepStore(t *testing.T, n int) (*pager.Store, []pager.PageID) {
 	t.Helper()
 	store := pager.NewStore()
+	build := pager.NewPool(store, n)
 	pids := make([]pager.PageID, n)
 	for i := range pids {
-		pids[i] = store.Allocate()
+		pg, err := build.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids[i] = pg.ID
+		pg.Unpin(false)
 	}
 	return store, pids
 }

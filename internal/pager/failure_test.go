@@ -15,7 +15,7 @@ func TestFetchFailedReadLeavesPoolConsistent(t *testing.T) {
 	pool := NewPool(store, 1) // one frame: the failed fetch must evict the victim
 
 	// Cache a dirty page so the failing fetch has to evict + write back.
-	pid := store.Allocate()
+	pid := store.allocate()
 	pg, err := pool.Fetch(pid)
 	if err != nil {
 		t.Fatalf("Fetch(%d): %v", pid, err)
@@ -33,8 +33,8 @@ func TestFetchFailedReadLeavesPoolConsistent(t *testing.T) {
 		t.Errorf("pin leak after failed fetch: %d", got)
 	}
 	var buf [PageSize]byte
-	if err := store.ReadAt(pid, buf[:]); err != nil {
-		t.Fatalf("store.ReadAt(%d): %v", pid, err)
+	if err := store.readAt(pid, buf[:]); err != nil {
+		t.Fatalf("store.readAt(%d): %v", pid, err)
 	}
 	if buf[0] != 0xAB {
 		t.Errorf("victim write-back lost: store byte = %#x, want 0xAB", buf[0])
@@ -59,7 +59,7 @@ func TestFetchFailedReadLeavesPoolConsistent(t *testing.T) {
 	// store's bytes, not remnants of the failed attempt.
 	var lastPid PageID
 	for lastPid < bogus {
-		lastPid = store.Allocate()
+		lastPid = store.allocate()
 	}
 	pg, err = pool.Fetch(bogus)
 	if err != nil {
@@ -76,9 +76,9 @@ func TestFetchFailedReadLeavesPoolConsistent(t *testing.T) {
 func TestFetchFailedReadOnFreedPage(t *testing.T) {
 	store := NewStore()
 	pool := NewPool(store, 4)
-	pid := store.Allocate()
-	if err := store.Free(pid); err != nil {
-		t.Fatalf("Free: %v", err)
+	pid := store.allocate()
+	if err := store.free(pid); err != nil {
+		t.Fatalf("free: %v", err)
 	}
 	if _, err := pool.Fetch(pid); !errors.Is(err, ErrInvalidPage) {
 		t.Fatalf("Fetch(freed) err = %v, want ErrInvalidPage", err)

@@ -8,43 +8,43 @@ import (
 
 func TestStoreAllocateFreeReuse(t *testing.T) {
 	s := NewStore()
-	p1 := s.Allocate()
-	p2 := s.Allocate()
+	p1 := s.allocate()
+	p2 := s.allocate()
 	if p1 == InvalidPage || p2 == InvalidPage || p1 == p2 {
-		t.Fatalf("Allocate returned %d, %d", p1, p2)
+		t.Fatalf("allocate returned %d, %d", p1, p2)
 	}
 	if s.NumPages() != 2 {
 		t.Errorf("NumPages = %d, want 2", s.NumPages())
 	}
-	if err := s.Free(p1); err != nil {
-		t.Fatalf("Free: %v", err)
+	if err := s.free(p1); err != nil {
+		t.Fatalf("free: %v", err)
 	}
 	if s.NumPages() != 1 {
 		t.Errorf("NumPages after free = %d, want 1", s.NumPages())
 	}
-	p3 := s.Allocate()
+	p3 := s.allocate()
 	if p3 != p1 {
-		t.Errorf("Allocate after free = %d, want reused id %d", p3, p1)
+		t.Errorf("allocate after free = %d, want reused id %d", p3, p1)
 	}
 }
 
 func TestStoreFreedPageIsZeroOnReuse(t *testing.T) {
 	s := NewStore()
-	pid := s.Allocate()
+	pid := s.allocate()
 	buf := make([]byte, PageSize)
 	buf[0] = 0xFF
-	if err := s.WriteAt(pid, buf); err != nil {
-		t.Fatalf("WriteAt: %v", err)
+	if err := s.writeBack(pid, buf); err != nil {
+		t.Fatalf("writeBack: %v", err)
 	}
-	if err := s.Free(pid); err != nil {
-		t.Fatalf("Free: %v", err)
+	if err := s.free(pid); err != nil {
+		t.Fatalf("free: %v", err)
 	}
-	pid2 := s.Allocate()
+	pid2 := s.allocate()
 	if pid2 != pid {
 		t.Fatalf("expected id reuse")
 	}
-	if err := s.ReadAt(pid2, buf); err != nil {
-		t.Fatalf("ReadAt: %v", err)
+	if err := s.readAt(pid2, buf); err != nil {
+		t.Fatalf("readAt: %v", err)
 	}
 	if buf[0] != 0 {
 		t.Errorf("reused page not zeroed")
@@ -54,32 +54,32 @@ func TestStoreFreedPageIsZeroOnReuse(t *testing.T) {
 func TestStoreInvalidAccess(t *testing.T) {
 	s := NewStore()
 	buf := make([]byte, PageSize)
-	if err := s.ReadAt(InvalidPage, buf); !errors.Is(err, ErrInvalidPage) {
-		t.Errorf("ReadAt(0) err = %v, want ErrInvalidPage", err)
+	if err := s.readAt(InvalidPage, buf); !errors.Is(err, ErrInvalidPage) {
+		t.Errorf("readAt(0) err = %v, want ErrInvalidPage", err)
 	}
-	if err := s.ReadAt(99, buf); !errors.Is(err, ErrInvalidPage) {
-		t.Errorf("ReadAt(99) err = %v, want ErrInvalidPage", err)
+	if err := s.readAt(99, buf); !errors.Is(err, ErrInvalidPage) {
+		t.Errorf("readAt(99) err = %v, want ErrInvalidPage", err)
 	}
-	pid := s.Allocate()
-	if err := s.Free(pid); err != nil {
-		t.Fatalf("Free: %v", err)
+	pid := s.allocate()
+	if err := s.free(pid); err != nil {
+		t.Fatalf("free: %v", err)
 	}
-	if err := s.Free(pid); !errors.Is(err, ErrInvalidPage) {
-		t.Errorf("double Free err = %v, want ErrInvalidPage", err)
+	if err := s.free(pid); !errors.Is(err, ErrInvalidPage) {
+		t.Errorf("double free err = %v, want ErrInvalidPage", err)
 	}
-	if err := s.WriteAt(pid, buf); !errors.Is(err, ErrInvalidPage) {
-		t.Errorf("WriteAt freed page err = %v, want ErrInvalidPage", err)
+	if err := s.writeBack(pid, buf); !errors.Is(err, ErrInvalidPage) {
+		t.Errorf("writeBack freed page err = %v, want ErrInvalidPage", err)
 	}
 }
 
 func TestStoreRejectsWrongBufferSize(t *testing.T) {
 	s := NewStore()
-	pid := s.Allocate()
-	if err := s.ReadAt(pid, make([]byte, 10)); err == nil {
-		t.Errorf("ReadAt with short buffer succeeded")
+	pid := s.allocate()
+	if err := s.readAt(pid, make([]byte, 10)); err == nil {
+		t.Errorf("readAt with short buffer succeeded")
 	}
-	if err := s.WriteAt(pid, make([]byte, 10)); err == nil {
-		t.Errorf("WriteAt with short buffer succeeded")
+	if err := s.writeBack(pid, make([]byte, 10)); err == nil {
+		t.Errorf("writeBack with short buffer succeeded")
 	}
 }
 
@@ -217,11 +217,11 @@ func TestPoolFreePage(t *testing.T) {
 	}
 	pid := pg.ID
 	if err := pool.FreePage(pid); err == nil {
-		t.Errorf("FreePage of pinned page succeeded")
+		t.Errorf("freePage of pinned page succeeded")
 	}
 	pg.Unpin(false)
 	if err := pool.FreePage(pid); err != nil {
-		t.Fatalf("FreePage: %v", err)
+		t.Fatalf("freePage: %v", err)
 	}
 	if _, err := pool.Fetch(pid); !errors.Is(err, ErrInvalidPage) {
 		t.Errorf("Fetch freed page err = %v, want ErrInvalidPage", err)
@@ -242,8 +242,8 @@ func TestPoolFlushAll(t *testing.T) {
 		t.Fatalf("FlushAll: %v", err)
 	}
 	buf := make([]byte, PageSize)
-	if err := s.ReadAt(pid, buf); err != nil {
-		t.Fatalf("ReadAt: %v", err)
+	if err := s.readAt(pid, buf); err != nil {
+		t.Fatalf("readAt: %v", err)
 	}
 	if buf[100] != 9 {
 		t.Errorf("FlushAll did not persist page contents")
@@ -348,7 +348,7 @@ func TestPoolEvictionsCounter(t *testing.T) {
 	pool := NewPool(s, 2)
 	pids := make([]PageID, 4)
 	for i := range pids {
-		pids[i] = s.Allocate()
+		pids[i] = s.allocate()
 	}
 	// Touch three distinct pages through a two-frame pool: the third fetch
 	// must displace one cached page.

@@ -145,13 +145,6 @@ type Pool struct {
 	// another page. It is observability-only (not part of Stats, so existing
 	// I/O accounting and its determinism pins are untouched).
 	evictions atomic.Uint64
-	// prefetches counts pages loaded by Prefetch. Like evictions it lives
-	// outside Stats: a prefetch is a speculative transfer issued by the
-	// opt-in readahead path, and keeping it out of Reads means the paper's
-	// I/O figures are a function of demand fetches only (a later Fetch of a
-	// prefetched page counts as a Hit — which is exactly the behavioural
-	// change readahead exists to cause, and why it is off by default).
-	prefetches atomic.Uint64
 }
 
 // NewPool creates the paper's pool: nframes frames (DefaultPoolFrames if
@@ -285,7 +278,7 @@ func (p *Pool) fetch(pid PageID) (*Page, bool, error) {
 		return nil, false, err
 	}
 	f := &sh.frames[idx]
-	if err := p.store.ReadAt(pid, f.data); err != nil {
+	if err := p.store.readAt(pid, f.data); err != nil {
 		// Leave the shard exactly as if the fetch never happened: drop any
 		// stale table entry for the page and fully reset the frame so a later
 		// fetch can reuse it with no leftover dirty/ref/pin state.
@@ -339,50 +332,11 @@ func (p *Pool) admitLocked(sh *shard, f *frame) {
 	}
 }
 
-// Prefetch loads the page into the pool without pinning it and without
-// counting a demand read: the transfer is recorded in the Prefetches()
-// counter, not in Stats.Reads. Prefetching a page already in the pool is a
-// no-op (no counter moves, reference bits untouched). The frame is installed
-// unpinned with its reference bit set, so it survives one clock sweep — long
-// enough for the imminent demand Fetch the caller is hinting at, which will
-// then count as a Hit. Used by the opt-in B+-tree leaf readahead
-// (DESIGN.md §15); never called on the default path.
-func (p *Pool) Prefetch(pid PageID) error {
-	sh := p.shardFor(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.table[pid]; ok {
-		return nil
-	}
-	idx, err := p.evict(sh)
-	if err != nil {
-		return err
-	}
-	f := &sh.frames[idx]
-	if err := p.store.ReadAt(pid, f.data); err != nil {
-		// Same recovery as Fetch: leave the shard as if nothing happened.
-		delete(sh.table, pid)
-		f.pid = InvalidPage
-		f.pins = 0
-		f.ref = false
-		f.dirty = false
-		return err
-	}
-	p.prefetches.Add(1)
-	f.pid = pid
-	f.pins = 0
-	f.ref = true
-	f.dirty = false
-	p.admitLocked(sh, f)
-	sh.table[pid] = idx
-	return nil
-}
-
 // NewPage allocates a fresh zeroed page in the store and pins it without a
 // store read (materializing a brand-new page costs no input I/O; it will
 // cost a write when evicted or flushed).
 func (p *Pool) NewPage() (*Page, error) {
-	pid := p.store.Allocate()
+	pid := p.store.allocate()
 	sh := p.shardFor(pid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -390,7 +344,7 @@ func (p *Pool) NewPage() (*Page, error) {
 	if err != nil {
 		// The new page never became visible; release it so the store is
 		// unchanged by the failed call.
-		if ferr := p.store.Free(pid); ferr != nil {
+		if ferr := p.store.free(pid); ferr != nil {
 			return nil, errors.Join(err, ferr)
 		}
 		return nil, err
@@ -446,7 +400,7 @@ func (p *Pool) FreePage(pid PageID) error {
 		f.pid = InvalidPage
 		f.dirty = false
 	}
-	return p.store.Free(pid)
+	return p.store.free(pid)
 }
 
 // FlushAll writes every dirty unpinned frame back to the store. It returns
@@ -489,10 +443,6 @@ func (p *Pool) Stats() Stats {
 // deliberately outside Stats: the paper's I/O metric and its determinism
 // pins never depend on it.
 func (p *Pool) Evictions() uint64 { return p.evictions.Load() }
-
-// Prefetches reports how many pages Prefetch has loaded over the pool's
-// lifetime. Observability-only, outside Stats (see Prefetch).
-func (p *Pool) Prefetches() uint64 { return p.prefetches.Load() }
 
 // ResetStats zeroes the I/O counters (the pool contents are untouched, so a
 // query following a reset runs against a warm pool, as in the paper).

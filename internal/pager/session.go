@@ -43,11 +43,6 @@ func (s *Session) Fetch(pid PageID) (*Page, error) {
 	return pg, nil
 }
 
-// Prefetch forwards the readahead hint to the shared pool. Prefetched
-// transfers stay outside Stats by the pool's contract, so nothing is tallied
-// locally.
-func (s *Session) Prefetch(pid PageID) error { return s.pool.Prefetch(pid) }
-
 // Stats returns the I/O this session has performed: exact, goroutine-local,
 // and independent of every other request on the shared pool.
 func (s *Session) Stats() Stats { return s.stats }

@@ -17,7 +17,7 @@ func (s *Store) Snapshot() (pages [][]byte, free []PageID) {
 		copy(cp, p)
 		pages[i] = cp
 	}
-	free = append([]PageID(nil), s.free...)
+	free = append([]PageID(nil), s.freeList...)
 	return pages, free
 }
 
@@ -52,7 +52,7 @@ func RestoreStore(pages [][]byte, free []PageID) (*Store, error) {
 		copy(cp, p)
 		s.pages[i] = cp
 	}
-	s.free = append([]PageID(nil), free...)
+	s.freeList = append([]PageID(nil), free...)
 	// Versions restart at zero: a restored store has no live pool or decode
 	// cache over it yet, so no stale (PageID, version) keys can exist.
 	s.versions = make([]uint64, len(pages))

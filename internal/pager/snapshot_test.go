@@ -17,16 +17,16 @@ func fillPage(seed byte) []byte {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()
-	p1 := s.Allocate()
-	p2 := s.Allocate()
-	p3 := s.Allocate()
-	if err := s.WriteAt(p1, fillPage(1)); err != nil {
+	p1 := s.allocate()
+	p2 := s.allocate()
+	p3 := s.allocate()
+	if err := s.writeBack(p1, fillPage(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteAt(p3, fillPage(3)); err != nil {
+	if err := s.writeBack(p3, fillPage(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Free(p2); err != nil {
+	if err := s.free(p2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,38 +49,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("restored NumPages = %d, want %d", got, want)
 	}
 	buf := make([]byte, PageSize)
-	if err := r.ReadAt(p1, buf); err != nil {
+	if err := r.readAt(p1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, fillPage(1)) {
 		t.Error("page 1 content corrupted by snapshot round trip")
 	}
-	if err := r.ReadAt(p3, buf); err != nil {
+	if err := r.readAt(p3, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, fillPage(3)) {
 		t.Error("page 3 content corrupted by snapshot round trip")
 	}
-	if err := r.ReadAt(p2, buf); err == nil {
+	if err := r.readAt(p2, buf); err == nil {
 		t.Error("reading the freed page after restore succeeded, want error")
 	}
 	// The freed slot must be reusable.
-	if pid := r.Allocate(); pid != p2 {
+	if pid := r.allocate(); pid != p2 {
 		t.Errorf("restored store allocated %v, want recycled %v", pid, p2)
 	}
 }
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	s := NewStore()
-	pid := s.Allocate()
-	if err := s.WriteAt(pid, fillPage(9)); err != nil {
+	pid := s.allocate()
+	if err := s.writeBack(pid, fillPage(9)); err != nil {
 		t.Fatal(err)
 	}
 	pages, free := s.Snapshot()
 	// Mutating the snapshot must not affect the store…
 	pages[0][0] ^= 0xFF
 	buf := make([]byte, PageSize)
-	if err := s.ReadAt(pid, buf); err != nil {
+	if err := s.readAt(pid, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != fillPage(9)[0] {
@@ -92,10 +92,10 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteAt(pid, fillPage(5)); err != nil {
+	if err := s.writeBack(pid, fillPage(5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReadAt(pid, buf); err != nil {
+	if err := r.readAt(pid, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, fillPage(9)) {

@@ -32,37 +32,35 @@ const InvalidPage PageID = 0
 var ErrInvalidPage = errors.New("pager: invalid page id")
 
 // Store is a page-granular storage device: a flat array of fixed-size pages
-// with allocate/free. All access should normally go through a Pool so that
-// I/O is counted; Store's own ReadAt/WriteAt are exposed for the pool and for
-// tests.
+// with allocate/free. Its page-access methods are unexported, so every access
+// from outside this package goes through a Pool and its I/O is counted.
 //
-// The store is guarded by a read-write mutex: ReadAt takes only the read
+// The store is guarded by a read-write mutex: readAt takes only the read
 // lock, so any number of pools (for example, one per concurrent query) can
 // read the same store in parallel without serializing on it.
 type Store struct {
-	mu    sync.RWMutex
-	pages [][]byte // index pid-1; nil entries are freed pages
-	free  []PageID
+	mu       sync.RWMutex
+	pages    [][]byte // index pid-1; nil entries are freed pages
+	freeList []PageID
 	// versions holds a monotonic per-slot modification counter (index pid-1).
 	// It is bumped whenever a page's logical contents may have changed:
-	// on Page.Unpin(dirty=true), on Free, on Allocate of a recycled id, and
-	// on a direct WriteAt from outside the pool. Versions never reset, even
-	// across Free/Allocate of the same id, so a (PageID, version) pair is
-	// unique for the store's lifetime — the decode cache's invalidation key
-	// (see internal/dcache and DESIGN.md §15).
+	// on Page.Unpin(dirty=true), on free and on allocate of a recycled id.
+	// Versions never reset, even across free/allocate of the same id, so a
+	// (PageID, version) pair is unique for the store's lifetime — the decode
+	// cache's invalidation key (see internal/dcache and DESIGN.md §15).
 	versions []uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Allocate reserves a new zeroed page and returns its id.
-func (s *Store) Allocate() PageID {
+// allocate reserves a new zeroed page and returns its id.
+func (s *Store) allocate() PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		pid := s.free[n-1]
-		s.free = s.free[:n-1]
+	if n := len(s.freeList); n > 0 {
+		pid := s.freeList[n-1]
+		s.freeList = s.freeList[:n-1]
 		s.pages[pid-1] = make([]byte, PageSize)
 		s.versions[pid-1]++ // recycled id: zeroed contents are a new version
 		return pid
@@ -72,16 +70,16 @@ func (s *Store) Allocate() PageID {
 	return PageID(len(s.pages))
 }
 
-// Free releases a page. Freeing an already-free or never-allocated page is
+// free releases a page. Freeing an already-free or never-allocated page is
 // an error: it indicates index corruption.
-func (s *Store) Free(pid PageID) error {
+func (s *Store) free(pid PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.check(pid); err != nil {
 		return err
 	}
 	s.pages[pid-1] = nil
-	s.free = append(s.free, pid)
+	s.freeList = append(s.freeList, pid)
 	s.versions[pid-1]++ // the old contents are gone; invalidate decoded copies
 	return nil
 }
@@ -113,31 +111,18 @@ func (s *Store) BumpVersion(pid PageID) {
 	s.versions[pid-1]++
 }
 
-// ReadAt copies the page's contents into dst, which must be PageSize bytes.
+// readAt copies the page's contents into dst, which must be PageSize bytes.
 // It takes only the store's read lock, so concurrent readers never contend.
-func (s *Store) ReadAt(pid PageID, dst []byte) error {
+func (s *Store) readAt(pid PageID, dst []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if err := s.check(pid); err != nil {
 		return err
 	}
 	if len(dst) != PageSize {
-		return fmt.Errorf("pager: ReadAt buffer is %d bytes, want %d", len(dst), PageSize)
+		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(dst), PageSize)
 	}
 	copy(dst, s.pages[pid-1])
-	return nil
-}
-
-// WriteAt overwrites the page's contents from src, which must be PageSize
-// bytes. The page's version is bumped: a direct store write bypasses the
-// pool's Unpin(dirty) protocol, so it must invalidate decoded copies itself.
-func (s *Store) WriteAt(pid PageID, src []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writeAt(pid, src); err != nil {
-		return err
-	}
-	s.versions[pid-1]++
 	return nil
 }
 
@@ -148,16 +133,11 @@ func (s *Store) WriteAt(pid PageID, src []byte) error {
 func (s *Store) writeBack(pid PageID, src []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeAt(pid, src)
-}
-
-// writeAt must be called with s.mu held.
-func (s *Store) writeAt(pid PageID, src []byte) error {
 	if err := s.check(pid); err != nil {
 		return err
 	}
 	if len(src) != PageSize {
-		return fmt.Errorf("pager: WriteAt buffer is %d bytes, want %d", len(src), PageSize)
+		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(src), PageSize)
 	}
 	copy(s.pages[pid-1], src)
 	return nil
@@ -167,7 +147,7 @@ func (s *Store) writeAt(pid PageID, src []byte) error {
 func (s *Store) NumPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pages) - len(s.free)
+	return len(s.pages) - len(s.freeList)
 }
 
 // Bytes returns the total allocated size in bytes, the on-disk footprint an

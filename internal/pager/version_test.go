@@ -1,7 +1,6 @@
 package pager
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -46,25 +45,23 @@ func TestVersionBumpOnDirtyUnpin(t *testing.T) {
 // rewinds or reuses a version.
 func TestVersionMonotonicAcrossRecycle(t *testing.T) {
 	s := NewStore()
-	pid := s.Allocate()
+	pid := s.allocate()
 	if got := s.Version(pid); got != 0 {
 		t.Fatalf("fresh page version = %d, want 0", got)
 	}
-	if err := s.WriteAt(pid, make([]byte, PageSize)); err != nil {
-		t.Fatal(err)
-	}
+	s.BumpVersion(pid)
 	afterWrite := s.Version(pid)
 	if afterWrite != 1 {
-		t.Fatalf("after WriteAt: version = %d, want 1", afterWrite)
+		t.Fatalf("after BumpVersion: version = %d, want 1", afterWrite)
 	}
-	if err := s.Free(pid); err != nil {
+	if err := s.free(pid); err != nil {
 		t.Fatal(err)
 	}
 	afterFree := s.Version(pid)
 	if afterFree <= afterWrite {
-		t.Fatalf("Free did not advance version: %d -> %d", afterWrite, afterFree)
+		t.Fatalf("free did not advance version: %d -> %d", afterWrite, afterFree)
 	}
-	pid2 := s.Allocate() // recycles pid
+	pid2 := s.allocate() // recycles pid
 	if pid2 != pid {
 		t.Fatalf("expected free-list recycling of %d, got %d", pid, pid2)
 	}
@@ -82,53 +79,6 @@ func TestVersionOutOfRange(t *testing.T) {
 		t.Fatalf("Version(unallocated) = %d, want 0", got)
 	}
 	s.BumpVersion(99) // must not panic
-}
-
-// TestPrefetchCountsSeparately pins the readahead accounting: a prefetch
-// moves Prefetches(), not Stats.Reads, and the later demand Fetch is a Hit.
-func TestPrefetchCountsSeparately(t *testing.T) {
-	s := NewStore()
-	pid := s.Allocate()
-	p := NewPool(s, 4)
-	if err := p.Prefetch(pid); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Prefetches(); got != 1 {
-		t.Fatalf("Prefetches = %d, want 1", got)
-	}
-	if st := p.Stats(); st.Reads != 0 || st.Hits != 0 {
-		t.Fatalf("prefetch leaked into Stats: %v", st)
-	}
-	// Prefetching an already-cached page is a free no-op.
-	if err := p.Prefetch(pid); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Prefetches(); got != 1 {
-		t.Fatalf("no-op prefetch counted: Prefetches = %d, want 1", got)
-	}
-	pg, err := p.Fetch(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Unpin(false)
-	if st := p.Stats(); st.Reads != 0 || st.Hits != 1 {
-		t.Fatalf("demand fetch after prefetch: %v, want hits=1 reads=0", st)
-	}
-}
-
-func TestPrefetchInvalidPage(t *testing.T) {
-	s := NewStore()
-	p := NewPool(s, 2)
-	if err := p.Prefetch(42); !errors.Is(err, ErrInvalidPage) {
-		t.Fatalf("Prefetch(invalid) = %v, want ErrInvalidPage", err)
-	}
-	// The failed prefetch must leave the pool usable.
-	pid := s.Allocate()
-	pg, err := p.Fetch(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Unpin(false)
 }
 
 // TestResizePinnedFails is the regression test for Resize vs pinned frames:
